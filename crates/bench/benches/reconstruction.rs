@@ -1,7 +1,9 @@
 //! Criterion bench: Bayesian reconstruction scales linearly in global-PMF
 //! entries and in CPM count (the Table 7 / §7.3 performance claim), and the
-//! sharded passes scale with the worker team on large supports.
+//! per-marginal index builds scale with the worker team on large supports.
 //!
+//! Every timed call is one round including the kernel's one-off indexing
+//! of each marginal against the support, which dominates a single round.
 //! `reconstruction_support_scaling` sweeps synthetic supports from 10⁴ to
 //! 10⁶ observed outcomes (the wide-Clifford regime) — mean times should
 //! grow ~10× per step. `reconstruction_thread_scaling` holds a 10⁶-entry

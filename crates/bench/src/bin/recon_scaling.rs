@@ -1,9 +1,10 @@
-//! Reconstruction-scaling scenario: drives the sharded Bayesian
-//! reconstruction core on synthetic supports of 10⁴–10⁶ observed outcomes
-//! (the wide-Clifford regime unlocked by the stabilizer backend) and
-//! reports (a) linearity in support size, per §7.3, and (b) wall-clock
-//! scaling across the rayon worker team — with the outputs checked
-//! bit-identical at every thread count before any timing is trusted.
+//! Reconstruction-scaling scenario: drives one round of the dense Bayesian
+//! reconstruction kernel (including its one-off per-marginal indexing) on
+//! synthetic supports of 10⁴–10⁶ observed outcomes (the wide-Clifford
+//! regime unlocked by the stabilizer backend) and reports (a) linearity in
+//! support size, per §7.3, and (b) wall-clock scaling of the indexing
+//! across the rayon worker team — with the outputs checked bit-identical
+//! at every thread count before any timing is trusted.
 //!
 //! ```text
 //! cargo run --release -p jigsaw-bench --bin recon_scaling
@@ -40,7 +41,7 @@ fn main() {
     let cpms = args.u64_or("cpms", 8) as usize;
     let reps = args.u64_or("reps", 2);
 
-    println!("Reconstruction scaling — sharded Bayesian updates (§7.3 linearity claim)");
+    println!("Reconstruction scaling — dense Bayesian kernel (§7.3 linearity claim)");
     println!();
 
     let marginals = jigsaw_bench::synthetic::marginals(N_BITS, cpms, 2, seed ^ 0xC0FFEE);

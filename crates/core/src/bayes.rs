@@ -11,22 +11,29 @@
 //! Only the prior's observed (non-zero) entries are ever touched, which is
 //! what gives JigSaw its linear memory/time complexity (§7).
 //!
-//! # Sharded execution
+//! # The dense kernel
 //!
-//! At large supports (the wide-Clifford workloads produce 10⁵–10⁶ observed
-//! outcomes) reconstruction dominates the pipeline, so both support passes
-//! of [`bayesian_update`] — group-mass accumulation and posterior scaling —
-//! and the per-marginal work of [`reconstruction_round`] run on the rayon
-//! worker team. The prior's support is walked in the canonical order of
-//! [`Pmf::sorted_entries`] and cut into fixed-size shards
-//! ([`jigsaw_pmf::parallel::SHARD_SIZE`]); partial results merge in shard
-//! order. Because the shard layout depends only on the support size — never
-//! on the worker count — serial and parallel execution produce
-//! **bit-identical** output at every thread setting (enforced by
+//! Reconstruction never changes the support: rounds only reweight the
+//! prior's observed outcomes. So every entry point sorts the support once,
+//! in the canonical order of [`Pmf::sorted_entries`], and indexes each
+//! marginal against it once: a compact group id per entry (one byte when
+//! the marginal has at most 256 groups) and each group's clamped marginal
+//! probability. A round is then flat gather/scatter over `f64` weight
+//! arrays, with no subset projections and no hashing; at the wide-Clifford
+//! supports (~8k outcomes, tens of marginals) that is about a millisecond.
+//!
+//! The floating-point accumulation tree is fixed by the support size alone:
+//! group masses, the normalisation mass and the Hellinger sum are per-shard
+//! partials ([`jigsaw_pmf::parallel::SHARD_SIZE`] entries each) folded in
+//! shard order, and each marginal's odds normaliser is summed in a group
+//! order fixed at indexing time. Only the per-marginal index builds fan out
+//! across the worker team; rounds run inline. The output is therefore
+//! **bit-identical** at every thread setting, and bit-identical to the
+//! map-based formulation earlier releases used (both enforced by
 //! `tests/reconstruction_sharding.rs`).
 
 use jigsaw_pmf::hashing::DetHashMap;
-use jigsaw_pmf::parallel::{fan_out, map_shards, SHARD_SIZE};
+use jigsaw_pmf::parallel::{fan_out, SHARD_SIZE};
 use jigsaw_pmf::{BitString, Pmf};
 
 /// A CPM's evidence: the measured qubit subset and its local PMF.
@@ -145,75 +152,221 @@ pub struct Reconstruction {
     pub converged: bool,
 }
 
-/// A contiguous slice of canonical `(outcome, weight)` entries — the unit
-/// of sharded work.
-type EntrySlice<'a> = &'a [(BitString, f64)];
-
-/// One marginal's evidence, reduced to per-projection multipliers.
+/// Per-entry group ids of one marginal: entry `i` of the support belongs
+/// to the group `ids[i]` of outcomes sharing its subset projection.
 ///
-/// For a prior entry with projection key `k`, the unnormalised posterior is
-/// `prob · factor[k]` where `factor[k] = odds(pr_k) / gsum_k`; dividing by
-/// `total = Σ_k odds(pr_k)` (mathematically the posterior's mass, since the
-/// entry coefficients within a group sum to one) normalises it. Keys with
-/// zero group mass or zero marginal probability carry no factor.
-struct UpdateFactors {
-    factor: DetHashMap<BitString, f64>,
-    total: f64,
+/// One byte per entry whenever the marginal has at most 256 groups, which
+/// covers every subset of up to 8 qubits and so every JigSaw and JigSaw-M
+/// configuration; wider subsets over large supports fall back to `u32`.
+enum GroupIds {
+    Narrow(Vec<u8>),
+    Wide(Vec<u32>),
 }
 
-/// Group-mass partial for one shard of the prior's canonical entry order:
-/// the shard's probability mass keyed by subset projection.
-fn shard_group_masses(
-    marginal: &Marginal,
-    shard: &[(BitString, f64)],
-) -> DetHashMap<BitString, f64> {
-    let mut g: DetHashMap<BitString, f64> = DetHashMap::default();
-    for (b, prob) in shard {
-        *g.entry(b.project(&marginal.qubits)).or_insert(0.0) += prob;
-    }
-    g
+/// An index into a marginal's dense per-group arrays.
+trait GroupId: Copy {
+    fn index(self) -> usize;
 }
 
-/// Folds per-shard group masses **in shard order**, keeping the merge (and
-/// therefore the floating-point accumulation tree) thread-count-invariant.
-fn merge_group_masses<'a, I>(partials: I) -> DetHashMap<BitString, f64>
-where
-    I: IntoIterator<Item = &'a DetHashMap<BitString, f64>>,
-{
-    let mut group_mass: DetHashMap<BitString, f64> = DetHashMap::default();
-    for partial in partials {
-        for (key, mass) in partial {
-            *group_mass.entry(*key).or_insert(0.0) += mass;
-        }
+impl GroupId for u8 {
+    fn index(self) -> usize {
+        usize::from(self)
     }
-    group_mass
 }
 
-/// Builds the per-projection multipliers from merged group masses.
-fn update_factors(group_mass: &DetHashMap<BitString, f64>, marginal: &Marginal) -> UpdateFactors {
-    let mut factor: DetHashMap<BitString, f64> = DetHashMap::default();
-    let mut total = 0.0;
-    for (key, &gsum) in group_mass {
-        if gsum <= 0.0 {
-            continue;
-        }
-        // Clamp pr away from 1 so the odds stay finite (a marginal that is
-        // literally a point mass would otherwise divide by zero).
-        let pr = marginal.pmf.prob(key).min(1.0 - 1e-12);
-        if pr <= 0.0 {
-            continue;
-        }
-        let odds = pr / (1.0 - pr);
-        factor.insert(*key, odds / gsum);
-        total += odds;
+impl GroupId for u32 {
+    fn index(self) -> usize {
+        self as usize
     }
-    UpdateFactors { factor, total }
+}
+
+/// One marginal's evidence, indexed once against a fixed canonical support.
+///
+/// Groups are numbered in the iteration order of a [`DetHashMap`] built the
+/// way the original map-based round built its group masses: one map per
+/// [`SHARD_SIZE`] shard in first-appearance order, folded into one map in
+/// shard order. Summing the odds in id order therefore reproduces that
+/// round's floating-point `total` exactly (the reference implementation
+/// lives in `tests/reconstruction_sharding.rs`). The numbering never
+/// changes between rounds: rounds only reweight the support, so the keys
+/// and their insertion sequence stay the same.
+struct MarginalIndex {
+    ids: GroupIds,
+    /// Marginal probability of each group's projection, clamped away from
+    /// 1 so the odds stay finite (a marginal that is literally a point mass
+    /// would otherwise divide by zero).
+    pr: Vec<f64>,
+}
+
+impl MarginalIndex {
+    fn build(outcomes: &[BitString], marginal: &Marginal) -> Self {
+        let project = |b: &BitString| b.project(&marginal.qubits);
+        let mut merged: DetHashMap<BitString, f64> = DetHashMap::default();
+        for shard in outcomes.chunks(SHARD_SIZE) {
+            let mut partial: DetHashMap<BitString, f64> = DetHashMap::default();
+            for b in shard {
+                partial.entry(project(b)).or_insert(0.0);
+            }
+            for key in partial.keys() {
+                merged.entry(*key).or_insert(0.0);
+            }
+        }
+        let keys: Vec<BitString> = merged.keys().copied().collect();
+        let id_of: DetHashMap<BitString, u32> = keys.iter().copied().zip(0..).collect();
+        let ids = if keys.len() <= 256 {
+            GroupIds::Narrow(outcomes.iter().map(|b| id_of[&project(b)] as u8).collect())
+        } else {
+            GroupIds::Wide(outcomes.iter().map(|b| id_of[&project(b)]).collect())
+        };
+        let pr = keys.iter().map(|key| marginal.pmf.prob(key).min(1.0 - 1e-12)).collect();
+        Self { ids, pr }
+    }
+
+    /// Per-group multipliers `odds(pr_g) / gsum_g` for the prior `weights`,
+    /// and their normaliser `total = Σ_g odds(pr_g)` summed in id order.
+    ///
+    /// For a prior entry in group `g` the unnormalised posterior is
+    /// `weight · factor[g]`; dividing by `total` (mathematically the
+    /// posterior's mass, since the entry coefficients within a group sum to
+    /// one) normalises it. Groups with zero mass or zero marginal
+    /// probability get factor 0 and add nothing to `total`.
+    fn factors(&self, weights: &[f64]) -> (Vec<f64>, f64) {
+        let gsums = match &self.ids {
+            GroupIds::Narrow(ids) => group_masses(ids, weights, self.pr.len()),
+            GroupIds::Wide(ids) => group_masses(ids, weights, self.pr.len()),
+        };
+        let mut factor = vec![0.0; gsums.len()];
+        let mut total = 0.0;
+        for ((f, &gsum), &pr) in factor.iter_mut().zip(&gsums).zip(&self.pr) {
+            if gsum <= 0.0 || pr <= 0.0 {
+                continue;
+            }
+            let odds = pr / (1.0 - pr);
+            *f = odds / gsum;
+            total += odds;
+        }
+        (factor, total)
+    }
+
+    /// Adds this marginal's normalised posterior `weight · factor / total`
+    /// onto `out`, entry by entry; a marginal whose `total` is not positive
+    /// adds nothing.
+    fn add_posterior(&self, weights: &[f64], out: &mut [f64]) {
+        let (factor, total) = self.factors(weights);
+        if total > 0.0 {
+            match &self.ids {
+                GroupIds::Narrow(ids) => add_scaled(ids, weights, &factor, total, out),
+                GroupIds::Wide(ids) => add_scaled(ids, weights, &factor, total, out),
+            }
+        }
+    }
+}
+
+/// Group masses of `weights`: per-shard partials accumulated in entry
+/// order, folded in shard order. A group absent from a shard adds an exact
+/// `0.0`, so the result matches a fold over per-shard maps bit for bit.
+fn group_masses<I: GroupId>(ids: &[I], weights: &[f64], groups: usize) -> Vec<f64> {
+    let mut mass = vec![0.0; groups];
+    let mut partial = vec![0.0; groups];
+    for (shard_ids, shard_weights) in ids.chunks(SHARD_SIZE).zip(weights.chunks(SHARD_SIZE)) {
+        partial.fill(0.0);
+        for (&id, &w) in shard_ids.iter().zip(shard_weights) {
+            // analyze:allow(panic-reach, MarginalIndex::build numbers groups 0..groups, so every id is in range)
+            partial[id.index()] += w;
+        }
+        for (m, p) in mass.iter_mut().zip(&partial) {
+            *m += p;
+        }
+    }
+    mass
+}
+
+fn add_scaled<I: GroupId>(ids: &[I], weights: &[f64], factor: &[f64], total: f64, out: &mut [f64]) {
+    for ((o, &w), &id) in out.iter_mut().zip(weights).zip(ids) {
+        // analyze:allow(panic-reach, factor has one entry per group and MarginalIndex::build numbers groups densely)
+        *o += w * factor[id.index()] / total;
+    }
+}
+
+/// The dense reconstruction kernel: one [`MarginalIndex`] per marginal over
+/// a fixed canonical support, built once per call. Every round is then flat
+/// gather/scatter over `f64` weight arrays aligned with that support.
+struct Kernel {
+    marginals: Vec<MarginalIndex>,
+}
+
+impl Kernel {
+    /// Indexes every marginal against `outcomes` (canonical ascending
+    /// order), fanning the per-marginal builds across `threads` workers.
+    fn new(outcomes: &[BitString], marginals: &[Marginal], threads: usize) -> Self {
+        debug_assert!(
+            outcomes.windows(2).all(|w| w[0] < w[1]),
+            "outcomes must be in canonical ascending order"
+        );
+        let marginals =
+            fan_out(marginals.iter().collect(), threads, |m| MarginalIndex::build(outcomes, m));
+        Self { marginals }
+    }
+
+    /// One reconstruction round (Algorithm 1, lines 17–23): every entry
+    /// gains each marginal's posterior against the same prior `weights`, in
+    /// marginal order, and the sum is normalised.
+    ///
+    /// Runs inline: at the supports the pipeline produces a round takes
+    /// about a millisecond, less than spawning a worker team would cost.
+    fn round(&self, weights: &[f64]) -> Vec<f64> {
+        let mut out = weights.to_vec();
+        for marginal in &self.marginals {
+            marginal.add_posterior(weights, &mut out);
+        }
+        normalize(&mut out);
+        out
+    }
+}
+
+/// Normalises `weights` in place. Per-shard partial masses fold in shard
+/// order; a vector without positive mass is left as it is.
+fn normalize(weights: &mut [f64]) {
+    let mass: f64 = weights.chunks(SHARD_SIZE).map(|shard| shard.iter().sum::<f64>()).sum();
+    if mass <= 0.0 {
+        return;
+    }
+    for w in weights {
+        *w /= mass;
+    }
+}
+
+/// Hellinger distance `√(1 − Σ√(pᵢ·qᵢ))` between two weight vectors over
+/// the same support, with per-shard partial sums folded in shard order.
+fn hellinger_aligned(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len(), "aligned weight vectors must have equal length");
+    let bc: f64 = a
+        .chunks(SHARD_SIZE)
+        .zip(b.chunks(SHARD_SIZE))
+        .map(|(sa, sb)| sa.iter().zip(sb).map(|(pa, pb)| (pa * pb).sqrt()).sum::<f64>())
+        .sum();
+    (1.0 - bc.min(1.0)).max(0.0).sqrt()
+}
+
+/// Splits a PMF's canonical entries into its support and aligned weights.
+fn canonical_support(p: &Pmf) -> (Vec<BitString>, Vec<f64>) {
+    p.sorted_entries().into_iter().unzip()
+}
+
+/// Builds a PMF from weights aligned with a canonical support
+/// (deterministic insertion sequence, hence deterministic downstream
+/// iteration); zero weights are dropped.
+fn pmf_from_weights(n_bits: usize, outcomes: &[BitString], weights: &[f64]) -> Pmf {
+    let mut out = Pmf::new(n_bits);
+    for (b, &w) in outcomes.iter().zip(weights) {
+        out.set(*b, w);
+    }
+    out
 }
 
 /// One `Bayesian_Update` (Algorithm 1, lines 1–16): posterior of the prior
-/// `p` given one marginal, computed serially. Equivalent to
-/// [`bayesian_update_with_threads`] with one worker — and bit-identical to
-/// it at any worker count, because the shard layout is fixed.
+/// `p` given one marginal. Equivalent to [`bayesian_update_with_threads`]
+/// with one worker, and bit-identical to it at any worker count.
 ///
 /// For every prior outcome `Bx`, its update coefficient is `p(Bx)`
 /// normalised within the group of outcomes sharing `Bx`'s subset
@@ -229,32 +382,16 @@ pub fn bayesian_update(p: &Pmf, marginal: &Marginal) -> Pmf {
     bayesian_update_with_threads(p, marginal, 1)
 }
 
-/// [`bayesian_update`] with both support passes sharded across `threads`
-/// rayon workers (`0` = all cores, `1` = serial).
+/// [`bayesian_update`] on the dense kernel with `threads` workers (`0` =
+/// all cores, `1` = serial). A single marginal's index is one work item,
+/// so the output never depends on the setting.
 #[must_use]
 pub fn bayesian_update_with_threads(p: &Pmf, marginal: &Marginal, threads: usize) -> Pmf {
-    let entries = p.sorted_entries();
-    // Pass 1 — group-mass accumulation, sharded then merged in shard order.
-    let partials = map_shards(&entries, threads, |shard| shard_group_masses(marginal, shard));
-    let factors = update_factors(&merge_group_masses(&partials), marginal);
-
-    // Pass 2 — posterior scaling, sharded; shards concatenate in order.
-    let scaled: Vec<Vec<(BitString, f64)>> = map_shards(&entries, threads, |shard| {
-        shard
-            .iter()
-            .filter_map(|(b, prob)| {
-                let f = factors.factor.get(&b.project(&marginal.qubits)).copied().unwrap_or(0.0);
-                let w = prob * f;
-                (w > 0.0).then(|| (*b, w / factors.total))
-            })
-            .collect()
-    });
-
-    let mut posterior = Pmf::new(p.n_bits());
-    for (b, w) in scaled.into_iter().flatten() {
-        posterior.set(b, w);
-    }
-    posterior
+    let (outcomes, weights) = canonical_support(p);
+    let kernel = Kernel::new(&outcomes, std::slice::from_ref(marginal), threads);
+    let mut posterior = vec![0.0; weights.len()];
+    kernel.marginals[0].add_posterior(&weights, &mut posterior);
+    pmf_from_weights(p.n_bits(), &outcomes, &posterior)
 }
 
 /// One reconstruction round (Algorithm 1, lines 17–23): every marginal's
@@ -266,144 +403,42 @@ pub fn reconstruction_round(p: &Pmf, marginals: &[Marginal]) -> Pmf {
     reconstruction_round_with_threads(p, marginals, 1)
 }
 
-/// [`reconstruction_round`] fanned out across `threads` rayon workers.
+/// [`reconstruction_round`] with the per-marginal index builds fanned out
+/// across `threads` rayon workers.
 #[must_use]
 pub fn reconstruction_round_with_threads(p: &Pmf, marginals: &[Marginal], threads: usize) -> Pmf {
-    let entries = p.sorted_entries();
-    let out = reconstruction_round_over_entries(&entries, marginals, threads);
-    pmf_from_canonical_entries(p.n_bits(), out)
+    let (outcomes, weights) = canonical_support(p);
+    let next = Kernel::new(&outcomes, marginals, threads).round(&weights);
+    pmf_from_weights(p.n_bits(), &outcomes, &next)
 }
 
-/// One reconstruction round over the prior's canonical entry list — the
-/// allocation-lean core behind [`reconstruction_round_with_threads`] and
-/// [`reconstruct`].
+/// One reconstruction round over the prior's canonical entry list.
 ///
 /// `entries` must be in canonical (ascending outcome) order with positive
 /// weights, exactly as [`Pmf::sorted_entries`] returns; the output is the
 /// normalised round result **in the same outcome sequence** (the round
-/// only reweights, never drops, observed outcomes), so iterated callers
-/// never re-sort or rebuild hash maps between rounds.
-///
-/// The independent per-marginal group passes and the support shards form
-/// one flat `marginal × shard` work grid, so a round with few marginals
-/// over a huge support and a round with many marginals over a small support
-/// both saturate the team without nesting thread pools. The shard layout is
-/// fixed by the support size, so the output is bit-identical at every
-/// `threads` setting.
+/// only reweights, never drops, observed outcomes). The per-marginal index
+/// builds fan out across `threads` workers; the output is bit-identical at
+/// every setting.
 #[must_use]
 pub fn reconstruction_round_over_entries(
     entries: &[(BitString, f64)],
     marginals: &[Marginal],
     threads: usize,
 ) -> Vec<(BitString, f64)> {
-    debug_assert!(
-        entries.windows(2).all(|w| w[0].0 < w[1].0),
-        "entries must be in canonical ascending-outcome order"
-    );
-    if marginals.is_empty() {
-        return normalize_entry_shards(
-            map_shards(entries, threads, <[(BitString, f64)]>::to_vec),
-            threads,
-        );
-    }
-    let shards: Vec<EntrySlice<'_>> = entries.chunks(SHARD_SIZE).collect();
-    let n_shards = shards.len();
-    // Sub-shard supports (the common ≤24-qubit pipelines) run inline: the
-    // per-round work is microseconds, so spawning the team for the
-    // marginal-indexed grid below would be pure overhead. Thread count
-    // never affects the output, so this is a scheduling decision only.
-    let threads = if n_shards <= 1 { 1 } else { threads };
-
-    // Phase 1 — every (marginal, shard) group pass is independent work.
-    let grid: Vec<(usize, EntrySlice<'_>)> =
-        (0..marginals.len()).flat_map(|mi| shards.iter().map(move |shard| (mi, *shard))).collect();
-    let partials = fan_out(grid, threads, |(mi, shard)| shard_group_masses(&marginals[mi], shard));
-
-    // Merge each marginal's partials in shard order (grid order groups them
-    // contiguously), then reduce to per-projection factors.
-    let factors: Vec<UpdateFactors> = marginals
-        .iter()
-        .enumerate()
-        .map(|(mi, m)| {
-            let merged = merge_group_masses(&partials[mi * n_shards..(mi + 1) * n_shards]);
-            update_factors(&merged, m)
-        })
-        .collect();
-
-    // Phase 2 — posterior scaling and the "+ P" accumulation fused into one
-    // sharded pass: every entry gains each marginal's normalised posterior
-    // contribution in marginal order.
-    let weighted: Vec<Vec<(BitString, f64)>> = map_shards(entries, threads, |shard| {
-        shard
-            .iter()
-            .map(|(b, prob)| {
-                let mut v = *prob;
-                for (m, f) in marginals.iter().zip(&factors) {
-                    if f.total > 0.0 {
-                        let fac = f.factor.get(&b.project(&m.qubits)).copied().unwrap_or(0.0);
-                        v += prob * fac / f.total;
-                    }
-                }
-                (*b, v)
-            })
-            .collect()
-    });
-
-    normalize_entry_shards(weighted, threads)
-}
-
-/// Phase 3 — normalise sharded entry lists: per-shard partial masses fold
-/// in shard order (thread-count-invariant), then every shard rescales on
-/// the team and the shards concatenate in order.
-fn normalize_entry_shards(
-    shards: Vec<Vec<(BitString, f64)>>,
-    threads: usize,
-) -> Vec<(BitString, f64)> {
-    let mass: f64 = shards.iter().map(|shard| shard.iter().map(|(_, v)| v).sum::<f64>()).sum();
-    if mass <= 0.0 {
-        return shards.into_iter().flatten().collect();
-    }
-    fan_out(shards, threads, |shard: Vec<(BitString, f64)>| {
-        shard.into_iter().map(|(b, v)| (b, v / mass)).collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Builds a PMF from entries already in canonical order (deterministic
-/// insertion sequence, hence deterministic downstream iteration).
-fn pmf_from_canonical_entries(n_bits: usize, entries: Vec<(BitString, f64)>) -> Pmf {
-    let mut out = Pmf::new(n_bits);
-    for (b, v) in entries {
-        out.set(b, v);
-    }
-    out
-}
-
-/// Hellinger distance `√(1 − Σ√(pᵢ·qᵢ))` between two *aligned* canonical
-/// entry lists (identical outcome sequences), computed shard-wise so the
-/// convergence check scales with the round itself.
-fn hellinger_aligned(a: &[(BitString, f64)], b: &[(BitString, f64)], threads: usize) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "aligned entry lists must have equal length");
-    let pairs: Vec<(EntrySlice<'_>, EntrySlice<'_>)> =
-        a.chunks(SHARD_SIZE).zip(b.chunks(SHARD_SIZE)).collect();
-    let partials = fan_out(pairs, threads, |(sa, sb)| {
-        sa.iter().zip(sb).map(|((_, pa), (_, pb))| (pa * pb).sqrt()).sum::<f64>()
-    });
-    let bc: f64 = partials.into_iter().sum();
-    (1.0 - bc.min(1.0)).max(0.0).sqrt()
+    let (outcomes, weights): (Vec<BitString>, Vec<f64>) = entries.iter().copied().unzip();
+    let next = Kernel::new(&outcomes, marginals, threads).round(&weights);
+    outcomes.into_iter().zip(next).collect()
 }
 
 /// Iterated reconstruction: rounds repeat until the Hellinger distance
 /// between successive outputs drops below tolerance (§4.3's termination
 /// rule) or the round cap is reached.
 ///
-/// The loop stays in canonical-entries space — the prior is sorted once,
-/// each round runs [`reconstruction_round_over_entries`] on
-/// [`ReconstructionConfig::threads`] workers, and the output PMF is built
-/// once at the end — so per-round serial overhead is just the small factor
-/// merges. The result is bit-identical at every thread setting.
+/// The prior is sorted once and every marginal indexed once against that
+/// support (on [`ReconstructionConfig::threads`] workers); each round is
+/// then one dense kernel pass, and the output PMF is built once at the
+/// end. The result is bit-identical at every thread setting.
 #[must_use]
 pub fn reconstruct(
     p: &Pmf,
@@ -413,24 +448,19 @@ pub fn reconstruct(
     if marginals.is_empty() {
         return Reconstruction { pmf: p.clone(), rounds: 0, converged: true };
     }
-    let mut entries = p.sorted_entries();
+    let (outcomes, mut weights) = canonical_support(p);
+    let kernel = Kernel::new(&outcomes, marginals, config.threads);
+    let (mut rounds, mut converged) = (config.max_rounds, false);
     for round in 1..=config.max_rounds {
-        let next = reconstruction_round_over_entries(&entries, marginals, config.threads);
-        let distance = hellinger_aligned(&entries, &next, config.threads);
-        entries = next;
+        let next = kernel.round(&weights);
+        let distance = hellinger_aligned(&weights, &next);
+        weights = next;
         if distance < config.tolerance {
-            return Reconstruction {
-                pmf: pmf_from_canonical_entries(p.n_bits(), entries),
-                rounds: round,
-                converged: true,
-            };
+            (rounds, converged) = (round, true);
+            break;
         }
     }
-    Reconstruction {
-        pmf: pmf_from_canonical_entries(p.n_bits(), entries),
-        rounds: config.max_rounds,
-        converged: false,
-    }
+    Reconstruction { pmf: pmf_from_weights(p.n_bits(), &outcomes, &weights), rounds, converged }
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use jigsaw_pmf::codec::{CodecError, Decode, Encode, Reader, Writer};
 use jigsaw_pmf::{CpmHistogram, ShardPartial};
@@ -321,7 +321,9 @@ impl Error for DistError {}
 /// partials tile exactly `0..work.len()` and agree with the stage's own
 /// work list, then normalises and finishes the run. The marginal order
 /// is the canonical work-list order, so the result is bit-identical to
-/// [`SubsetsSelected::run_cpms`] + `reconstruct`.
+/// [`SubsetsSelected::run_cpms`] + `reconstruct`. Its run-cpms stage
+/// records only the merge's own wall; [`run_sharded`] records the whole
+/// scatter/merge.
 ///
 /// # Errors
 ///
@@ -330,6 +332,17 @@ impl Error for DistError {}
 pub fn merge_partials(
     stage: SubsetsSelected,
     partials: Vec<ShardPartial>,
+) -> Result<JigsawResult, DistError> {
+    // analyze:allow(wallclock, stage wall time feeds StageTimings/telemetry only; no Encode impl touches it)
+    merge_partials_since(stage, partials, Instant::now())
+}
+
+/// [`merge_partials`] for a sweep that began at `started`: the merged
+/// run-cpms stage records the scatter/merge wall from there.
+fn merge_partials_since(
+    stage: SubsetsSelected,
+    partials: Vec<ShardPartial>,
+    started: Instant,
 ) -> Result<JigsawResult, DistError> {
     let work = stage.cpm_work();
     let mut partials = partials;
@@ -373,7 +386,7 @@ pub fn merge_partials(
             work.len()
         )));
     }
-    Ok(stage.finish_cpms(marginals).reconstruct())
+    Ok(stage.finish_cpms(marginals, started).reconstruct())
 }
 
 /// Anything that can execute a shard somewhere: in-process
@@ -457,6 +470,8 @@ pub fn run_sharded(
     if runners.is_empty() {
         return Err(DistError::NoWorkers);
     }
+    // analyze:allow(wallclock, stage wall time feeds StageTimings/telemetry only; no Encode impl touches it)
+    let started = Instant::now();
     let shards = plan_shards(cpm_count(stage), config.shard_size);
     let total = shards.len();
     let sweep = Sweep {
@@ -485,7 +500,7 @@ pub fn run_sharded(
     }
     let results = std::mem::take(&mut state.results);
     drop(state);
-    merge_partials(stage.clone(), results)
+    merge_partials_since(stage.clone(), results, started)
 }
 
 /// The watchdog: waits for completion or failure, accumulating wait time
@@ -614,6 +629,33 @@ mod tests {
         w.put_u64(5);
         w.put_u64(5);
         assert!(decode_from_slice::<Shard>(&w.into_bytes()).is_err());
+    }
+
+    #[test]
+    fn sharded_run_cpms_records_the_scatter_merge_wall() {
+        // The merged run-cpms wall must cover the scatter it waited on,
+        // not only the merge bookkeeping.
+        use crate::pipeline::{JigsawPipeline, StageName};
+        let device = jigsaw_device::Device::toronto();
+        let mut config = crate::JigsawConfig::jigsaw(4_000).with_seed(3);
+        config.compiler.max_seeds = 2;
+        let stage = JigsawPipeline::plan(jigsaw_circuit::bench::ghz(6).circuit(), &device, &config)
+            .compile_global()
+            .run_global()
+            .select_subsets();
+        let runners: Vec<Box<dyn ShardRunner>> = vec![Box::new(LocalRunner), Box::new(LocalRunner)];
+        let t0 = Instant::now();
+        let result =
+            run_sharded(&stage, runners, &DistConfig::default().with_shard_size(2)).expect("sweep");
+        let outer = t0.elapsed();
+        let wall = |s| result.timings.get(s).expect("recorded").wall;
+        let (cpms, reconstruct) = (wall(StageName::RunCpms), wall(StageName::Reconstruct));
+        assert!(cpms + reconstruct <= outer, "stage walls exceed the {outer:?} sweep");
+        assert!(
+            cpms * 2 >= outer - reconstruct,
+            "run-cpms recorded {cpms:?} of a {:?} scatter/merge",
+            outer - reconstruct
+        );
     }
 
     #[test]

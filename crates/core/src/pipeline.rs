@@ -826,12 +826,14 @@ impl SubsetsSelected {
     /// count reproduces the serial histograms bit-for-bit.
     #[must_use]
     pub fn run_cpms(self) -> CpmsRun {
+        // analyze:allow(wallclock, stage wall time feeds StageTimings/telemetry only; no Encode impl touches it)
+        let t0 = Instant::now();
         let work = self.cpm_work();
         let marginals: Vec<Marginal> =
             jigsaw_pmf::parallel::fan_out(work, self.ctx.config.run.threads, |item| {
                 self.run_cpm_item(&item)
             });
-        self.finish_cpms(marginals)
+        self.finish_cpms(marginals, t0)
     }
 
     /// Stage 4 completion: installs externally computed CPM marginals —
@@ -840,13 +842,17 @@ impl SubsetsSelected {
     /// record (trials, items) is derived from the work list, so a batched
     /// execution encodes byte-identically to [`Self::run_cpms`].
     ///
+    /// `started` is when the caller began the fan-out that produced
+    /// `marginals`: the stage's recorded wall runs from there to now, so it
+    /// covers the CPM work itself (for a batched or distributed execution,
+    /// the wall of the whole batch or scatter/merge). Walls never reach the
+    /// encoded bytes.
+    ///
     /// # Panics
     ///
     /// Panics if `marginals` does not have one entry per work item.
     #[must_use]
-    pub fn finish_cpms(mut self, marginals: Vec<Marginal>) -> CpmsRun {
-        // analyze:allow(wallclock, stage wall time feeds StageTimings/telemetry only; no Encode impl touches it)
-        let t0 = Instant::now();
+    pub fn finish_cpms(mut self, marginals: Vec<Marginal>, started: Instant) -> CpmsRun {
         let work = self.cpm_work();
         assert_eq!(
             marginals.len(),
@@ -858,7 +864,7 @@ impl SubsetsSelected {
         let items = marginals.len();
         self.ctx.record(StageRecord {
             stage: StageName::RunCpms,
-            wall: t0.elapsed(),
+            wall: started.elapsed(),
             trials: cpm_trials,
             items,
             backend: None,
@@ -1510,6 +1516,24 @@ mod tests {
     }
 
     #[test]
+    fn run_cpms_wall_covers_the_cpm_fan_out() {
+        // The recorded wall must cover the CPM fan-out itself, not only
+        // the bookkeeping that installs its marginals.
+        let device = Device::toronto();
+        let b = bench::ghz(6);
+        let selected = JigsawPipeline::plan(b.circuit(), &device, &quick_config(4000))
+            .compile_global()
+            .run_global()
+            .select_subsets();
+        let t0 = Instant::now();
+        let run = selected.run_cpms();
+        let outer = t0.elapsed();
+        let recorded = run.timings().get(StageName::RunCpms).expect("recorded").wall;
+        assert!(recorded <= outer, "recorded {recorded:?} exceeds the {outer:?} call");
+        assert!(recorded * 2 >= outer, "run-cpms recorded {recorded:?} of a {outer:?} stage");
+    }
+
+    #[test]
     fn try_plan_refuses_request_defects_with_typed_errors() {
         let device = Device::toronto();
         let config = quick_config(1000);
@@ -1586,7 +1610,7 @@ mod tests {
         assert!(!work.is_empty());
         let marginals: Vec<Marginal> =
             work.iter().map(|item| selected.run_cpm_item(item)).collect();
-        let external = selected.finish_cpms(marginals).reconstruct();
+        let external = selected.finish_cpms(marginals, Instant::now()).reconstruct();
         assert_eq!(external, run_jigsaw(b.circuit(), &device, &config));
         // And the *encoded* results agree byte for byte (the serving
         // invariant): semantic stage records are derived from the work
@@ -1607,7 +1631,7 @@ mod tests {
             .compile_global()
             .run_global()
             .select_subsets();
-        let _ = selected.finish_cpms(Vec::new());
+        let _ = selected.finish_cpms(Vec::new(), Instant::now());
     }
 
     #[test]

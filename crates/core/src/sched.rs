@@ -802,6 +802,9 @@ impl Scheduler {
         stages: Vec<crate::pipeline::SubsetsSelected>,
         threads: usize,
     ) -> Vec<Result<StageOutcome, String>> {
+        // Every job in the batch records the batch wall as its run-cpms
+        // wall: its items ran interleaved with the others' on one team.
+        let started = Instant::now();
         let groups: Vec<Vec<crate::pipeline::CpmWork>> =
             stages.iter().map(crate::pipeline::SubsetsSelected::cpm_work).collect();
         let per_job: Vec<Vec<Result<Marginal, String>>> =
@@ -815,7 +818,9 @@ impl Scheduler {
                 let marginals: Result<Vec<Marginal>, String> = items.into_iter().collect();
                 let marginals = marginals?;
                 contain(move || {
-                    StageOutcome::Next(Box::new(StageTask::CpmsRun(stage.finish_cpms(marginals))))
+                    StageOutcome::Next(Box::new(StageTask::CpmsRun(
+                        stage.finish_cpms(marginals, started),
+                    )))
                 })
             })
             .collect()
@@ -882,6 +887,7 @@ fn contain<R>(job: impl FnOnce() -> R) -> Result<R, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::StageName;
     use crate::run_jigsaw;
     use jigsaw_circuit::bench;
     use jigsaw_compiler::CompilerOptions;
@@ -914,6 +920,31 @@ mod tests {
             assert_eq!(encode_to_vec(&output.result), encode_to_vec(&solo));
         }
         assert_eq!(sched.admitted(), 0);
+    }
+
+    #[test]
+    fn batched_run_cpms_records_the_batch_wall() {
+        // Each batched job's run-cpms wall must cover the shared fan-out,
+        // not only its own finishing bookkeeping.
+        let device = Device::toronto();
+        let stages: Vec<_> = (0..2)
+            .map(|seed| {
+                JigsawPipeline::plan(bench::ghz(5).circuit(), &device, &quick_config(seed))
+                    .compile_global()
+                    .run_global()
+                    .select_subsets()
+            })
+            .collect();
+        let t0 = Instant::now();
+        let outcomes = Scheduler::run_cpms_batch(stages, 1);
+        let outer = t0.elapsed();
+        for outcome in outcomes {
+            let Ok(StageOutcome::Next(task)) = outcome else { panic!("batch item failed") };
+            let StageTask::CpmsRun(run) = *task else { panic!("expected a CpmsRun") };
+            let wall = run.timings().get(StageName::RunCpms).expect("recorded").wall;
+            assert!(wall <= outer, "recorded {wall:?} exceeds the {outer:?} batch");
+            assert!(wall * 2 >= outer, "run-cpms recorded {wall:?} of a {outer:?} batch");
+        }
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! probe-counted compiles anywhere in the sweep (the shipped stage
 //! already carries every compiled artifact).
 //!
-//! The probe is process-global, so probe-sensitive regions serialize on
-//! [`PROBE`] and compute their solo references outside the probe window.
+//! The probe is process-global and every test here compiles, so every test
+//! holds [`PROBE`] for its whole body (a compile anywhere in the binary
+//! would land inside another test's probe window) and computes its solo
+//! references outside the probe window.
 
 use std::io::BufRead;
 use std::net::SocketAddr;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use jigsaw_repro::circuit::bench;
 use jigsaw_repro::compiler::probe;
@@ -25,8 +27,14 @@ use jigsaw_repro::server::server::{serve, ServerConfig, ServerHandle};
 use jigsaw_repro::server::Client;
 use proptest::prelude::*;
 
-/// Serializes probe-sensitive regions within this test binary.
+/// Serializes the tests of this binary around the process-global probe.
 static PROBE: Mutex<()> = Mutex::new(());
+
+/// Takes [`PROBE`]; a test that failed while holding it must not fail every
+/// later test with a `PoisonError` instead of its own verdict.
+fn probe_guard() -> MutexGuard<'static, ()> {
+    PROBE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The sweep under test: ghz(6) on toronto, recompilation off so the
 /// compile accounting is exact (one global compile to *build* the stage,
@@ -93,7 +101,7 @@ fn spawn_fleet(n: usize) -> (Vec<ServerHandle>, Vec<SocketAddr>) {
 /// `run_jigsaw`, with zero driver-side compiles during the sweep.
 #[test]
 fn two_real_worker_processes_merge_bit_identical_to_solo() {
-    let _probe_guard = PROBE.lock().expect("probe guard");
+    let _probe_guard = probe_guard();
     let solo = solo_bytes(41);
     let stage = sweep_stage(41);
 
@@ -120,6 +128,7 @@ fn two_real_worker_processes_merge_bit_identical_to_solo() {
 /// its partial — the cross-process face of "workers never recompile".
 #[test]
 fn real_worker_partials_report_zero_compiles() {
+    let _probe_guard = probe_guard();
     let stage = sweep_stage(42);
     let (child, addr) = spawn_worker_process();
     let mut client = Client::connect(addr).expect("connect");
@@ -154,7 +163,7 @@ proptest! {
         workers in 1usize..5,
         shard_size in 1usize..6,
     ) {
-        let _probe_guard = PROBE.lock().expect("probe guard");
+        let _probe_guard = probe_guard();
         // Solo reference and stage build OUTSIDE the probe window.
         let solo = solo_bytes(seed);
         let stage = sweep_stage(seed);
@@ -189,6 +198,7 @@ proptest! {
         rotation in 0usize..16,
         reverse in any::<bool>(),
     ) {
+        let _probe_guard = probe_guard();
         let solo = solo_bytes(seed);
         let stage = sweep_stage(seed);
         let mut partials: Vec<_> = plan_shards(cpm_count(&stage), shard_size)
