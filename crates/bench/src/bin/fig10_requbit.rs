@@ -13,8 +13,7 @@ use jigsaw_bench::cli::Args;
 use jigsaw_bench::harness::harness_compiler;
 use jigsaw_bench::table;
 use jigsaw_circuit::bench::bernstein_vazirani;
-use jigsaw_compiler::compile;
-use jigsaw_compiler::cpm::recompile_cpm;
+use jigsaw_compiler::{compile, CpmSearch};
 use jigsaw_core::seed;
 use jigsaw_core::subsets::sliding_window;
 use jigsaw_device::Device;
@@ -53,8 +52,9 @@ fn main() {
     // read from the CPM that measures it (first window containing it).
     let windows = sliding_window(6, 2);
     let mut cpm_accuracy = [None::<f64>; 6];
+    let search = CpmSearch::new(bench.circuit(), &device, &compiler);
     for (i, subset) in windows.iter().enumerate() {
-        let compiled = recompile_cpm(bench.circuit(), subset, &device, &compiler);
+        let compiled = search.compile(subset);
         let counts = executor.run(
             compiled.circuit(),
             trials / windows.len() as u64,

@@ -10,8 +10,7 @@ use jigsaw_bench::cli::Args;
 use jigsaw_bench::harness::harness_compiler;
 use jigsaw_bench::table;
 use jigsaw_circuit::bench::{qaoa_maxcut, Benchmark};
-use jigsaw_compiler::compile;
-use jigsaw_compiler::cpm::recompile_cpm;
+use jigsaw_compiler::{compile, CpmSearch};
 use jigsaw_core::mbm::TensoredMbm;
 use jigsaw_core::subsets::sliding_window;
 use jigsaw_core::{reconstruct, seed, Marginal, ReconstructionConfig};
@@ -58,7 +57,9 @@ fn run_case(bench: &Benchmark, device: &Device, trials: u64, exp_seed: u64) -> F
     let mbm = TensoredMbm::calibrate(device, &physical, 30_000, seed::mix(exp_seed, MBM_CAL_SALT));
     let mbm_pst = metrics::pst(&mbm.mitigate(&global_full), &correct);
 
-    // Measure CPMs per subset size (reused across the JigSaw variants).
+    // Measure CPMs per subset size (reused across the JigSaw variants);
+    // one placement search serves every subset.
+    let search = CpmSearch::new(bench.circuit(), device, &compiler);
     let measure_layer = |size: usize, salt: u64| -> Vec<Marginal> {
         let windows = sliding_window(n, size);
         let per_cpm = (trials / 2 / windows.len() as u64).max(1);
@@ -66,7 +67,7 @@ fn run_case(bench: &Benchmark, device: &Device, trials: u64, exp_seed: u64) -> F
             .iter()
             .enumerate()
             .map(|(i, subset)| {
-                let compiled = recompile_cpm(bench.circuit(), subset, device, &compiler);
+                let compiled = search.compile(subset);
                 let counts = executor.run(
                     compiled.circuit(),
                     per_cpm,

@@ -13,7 +13,7 @@ use jigsaw_bench::cli::Args;
 use jigsaw_bench::harness::harness_compiler;
 use jigsaw_bench::table;
 use jigsaw_circuit::bench::qaoa_maxcut;
-use jigsaw_compiler::compile;
+use jigsaw_compiler::{compile, CpmSearch};
 use jigsaw_core::subsets::random_distinct;
 use jigsaw_core::{reconstruct, seed, Marginal, ReconstructionConfig};
 use jigsaw_device::Device;
@@ -54,12 +54,12 @@ fn main() {
     let all_subsets = random_distinct(12, 2, 66, seed::mix(experiment_seed, SUBSET_POOL_SALT));
     let per_cpm = (trials / 2 / 12).max(1);
     eprintln!("[fig9a] measuring all 66 CPMs ({per_cpm} trials each) ...");
+    let search = CpmSearch::new(bench.circuit(), &device, &compiler);
     let marginals: Vec<Marginal> = all_subsets
         .iter()
         .enumerate()
         .map(|(i, subset)| {
-            let compiled =
-                jigsaw_compiler::cpm::recompile_cpm(bench.circuit(), subset, &device, &compiler);
+            let compiled = search.compile(subset);
             let counts = executor.run(
                 compiled.circuit(),
                 per_cpm,

@@ -4,7 +4,7 @@
 use jigsaw_circuit::Circuit;
 use jigsaw_device::Device;
 
-use crate::eps::eps;
+use crate::eps::{gate_eps, readout_eps};
 use crate::placement::{layout_from_seed, path_layout_from_seed, spread_seeds, PlacementConfig};
 use crate::sabre::{route, Routed, SabreConfig};
 
@@ -142,13 +142,43 @@ pub fn compile_with_avoidance(
     options: &CompilerOptions,
     avoid: &[Vec<usize>],
 ) -> Compiled {
+    let mut per_seed = search(logical, device, options, avoid);
+    crate::probe::record_compile();
+    let (seed, k, eps) =
+        select(&per_seed, options, avoid, |c| readout_eps(&c.routed.circuit, device));
+    Compiled { routed: per_seed.swap_remove(seed).swap_remove(k).routed, eps }
+}
+
+/// One routed placement candidate of [`search`], with the gate factor of
+/// its EPS (the readout factor is left to the selection).
+#[derive(Debug, Clone)]
+pub(crate) struct Candidate {
+    pub(crate) routed: Routed,
+    pub(crate) gate_eps: f64,
+}
+
+/// The placement search: for each of [`CompilerOptions::max_seeds`] spread
+/// seeds, the routed [path, region] candidates that exist, in that order.
+///
+/// Every (seed, candidate) pair routes and scores independently, so the
+/// search fans out across the worker team; results keep seed order, so the
+/// output is identical at any thread count.
+///
+/// # Panics
+///
+/// Panics if the program is wider than the device.
+pub(crate) fn search(
+    logical: &Circuit,
+    device: &Device,
+    options: &CompilerOptions,
+    avoid: &[Vec<usize>],
+) -> Vec<Vec<Candidate>> {
     assert!(
         logical.n_qubits() <= device.n_qubits(),
         "program of {} qubits exceeds the {}-qubit device",
         logical.n_qubits(),
         device.n_qubits()
     );
-    crate::probe::record_compile();
     let optimized;
     let logical = if options.peephole {
         optimized = crate::peephole::optimize(logical);
@@ -156,7 +186,44 @@ pub fn compile_with_avoidance(
     } else {
         logical
     };
+    jigsaw_pmf::parallel::fan_out(
+        spread_seeds(device, options.max_seeds),
+        options.threads,
+        |seed| {
+            // Chain-shaped programs (most of Table 2) additionally get a
+            // swap-free path embedding candidate; EPS decides the winner.
+            let candidates = [
+                path_layout_from_seed(logical, device, seed, &options.placement, avoid),
+                layout_from_seed(logical, device, seed, &options.placement, avoid),
+            ];
+            candidates
+                .into_iter()
+                .flatten()
+                .map(|layout| {
+                    let routed = route(logical, device, layout, &options.sabre);
+                    let gate_eps = gate_eps(&routed.circuit, device);
+                    Candidate { routed, gate_eps }
+                })
+                .collect()
+        },
+    )
+}
 
+/// Selects the winner of a [`search`]: each candidate scores
+/// `gate_eps × readout(candidate)` (its EPS), and the result is the
+/// `(seed, candidate, EPS)` of the earliest maximum selection score — the
+/// best candidate of each seed by strict `>`, then the best seed by strict
+/// `>` in seed order.
+///
+/// # Panics
+///
+/// Panics if the search found no feasible placement.
+pub(crate) fn select(
+    per_seed: &[Vec<Candidate>],
+    options: &CompilerOptions,
+    avoid: &[Vec<usize>],
+    readout: impl Fn(&Candidate) -> f64,
+) -> (usize, usize, f64) {
     // Candidates are selected by EPS, discounted per qubit shared with an
     // avoided allocation: without the discount a diverse *search* can still
     // be overruled at selection time by a high-EPS placement sitting right
@@ -168,44 +235,23 @@ pub fn compile_with_avoidance(
             .sum();
         score * (-options.placement.diversity_penalty * overlap as f64).exp()
     };
-
-    // Every (seed, candidate) pair routes and scores independently, so the
-    // search fans out across the worker team. Each worker keeps only its
-    // seed's best candidate (strict `>` over the fixed [path, layout]
-    // candidate order), and the winner is then chosen by a serial fold in
-    // seed order with the same strict `>` — together that selects the
-    // earliest maximum of the flattened (seed, candidate) sequence, exactly
-    // like the old serial loop, so the compiled output and every downstream
-    // histogram are bit-identical at any thread count.
-    let scored: Vec<Option<(f64, Compiled)>> = jigsaw_pmf::parallel::fan_out(
-        spread_seeds(device, options.max_seeds),
-        options.threads,
-        |seed| {
-            // Chain-shaped programs (most of Table 2) additionally get a
-            // swap-free path embedding candidate; EPS decides the winner.
-            let candidates = [
-                path_layout_from_seed(logical, device, seed, &options.placement, avoid),
-                layout_from_seed(logical, device, seed, &options.placement, avoid),
-            ];
-            let mut best: Option<(f64, Compiled)> = None;
-            for layout in candidates.into_iter().flatten() {
-                let routed = route(logical, device, layout, &options.sabre);
-                let score = eps(&routed.circuit, device);
-                let ranking = selection_score(score, &routed.initial_layout);
-                if best.as_ref().is_none_or(|(b, _)| ranking > *b) {
-                    best = Some((ranking, Compiled { routed, eps: score }));
-                }
+    let mut best: Option<(f64, (usize, usize, f64))> = None;
+    for (seed, candidates) in per_seed.iter().enumerate() {
+        let mut seed_best: Option<(f64, usize, f64)> = None;
+        for (k, candidate) in candidates.iter().enumerate() {
+            let score = candidate.gate_eps * readout(candidate);
+            let ranking = selection_score(score, &candidate.routed.initial_layout);
+            if seed_best.is_none_or(|(b, _, _)| ranking > b) {
+                seed_best = Some((ranking, k, score));
             }
-            best
-        },
-    );
-    let mut best: Option<(f64, Compiled)> = None;
-    for (ranking, compiled) in scored.into_iter().flatten() {
-        if best.as_ref().is_none_or(|(b, _)| ranking > *b) {
-            best = Some((ranking, compiled));
+        }
+        if let Some((ranking, k, score)) = seed_best {
+            if best.is_none_or(|(b, _)| ranking > b) {
+                best = Some((ranking, (seed, k, score)));
+            }
         }
     }
-    best.map(|(_, compiled)| compiled)
+    best.map(|(_, winner)| winner)
         .expect("no feasible placement found (disconnected device region?)")
 }
 

@@ -12,11 +12,27 @@
 //!   device's strongest readout qubits, without paying extra SWAPs
 //!   (§4.2.2): gate-EPS already penalises added SWAPs, and only measured
 //!   qubits contribute readout-EPS.
+//!
+//! # One placement search per program
+//!
+//! Every CPM of a program recompiles the same gate list, and the subset
+//! reaches the compiler only through the measurements. Placement (region
+//! growth, path embedding, in-region assignment), the peephole pass and
+//! SABRE routing read only the gates; the router appends the measurements
+//! after the last gate, from the final layout. So the seed × candidate
+//! routings and their gate factor of EPS are the same for every subset,
+//! and the subset moves only the readout factor. [`CpmSearch`] runs that
+//! search once on the measurement-free program and, per subset, scores
+//! each candidate as `gate_eps × readout_eps` — the readout term read from
+//! the candidate's final layout — with the same selection rule as
+//! [`compile`](crate::compile). The result is the exact [`Compiled`] a fresh
+//! [`recompile_cpm`] produces, at the cost of a scan over ~20 candidates.
 
 use jigsaw_circuit::Circuit;
 use jigsaw_device::Device;
 
-use crate::compile::{compile, Compiled, CompilerOptions};
+use crate::compile::{search, select, Candidate, Compiled, CompilerOptions};
+use crate::eps::measured_readout_eps;
 
 /// Builds the CPM of `program` measuring exactly `subset` (logical qubit
 /// `subset[k]` → classical bit `k`).
@@ -38,6 +54,8 @@ pub fn cpm_circuit(program: &Circuit, subset: &[usize]) -> Circuit {
 }
 
 /// Recompiles a CPM with the readout-focused objective (paper §4.2.2).
+/// A one-shot [`CpmSearch`]: callers compiling several subsets of one
+/// program should build the search once instead.
 ///
 /// # Panics
 ///
@@ -50,27 +68,84 @@ pub fn recompile_cpm(
     device: &Device,
     options: &CompilerOptions,
 ) -> Compiled {
-    let cpm = cpm_circuit(program, subset);
-    let focused =
-        CompilerOptions { placement: jigsaw_compiler_placement_readout(options), ..*options };
-    compile(&cpm, device, &focused)
+    CpmSearch::new(program, device, options).compile(subset)
 }
 
-fn jigsaw_compiler_placement_readout(
-    options: &CompilerOptions,
-) -> crate::placement::PlacementConfig {
-    crate::placement::PlacementConfig {
-        readout_weight: options.placement.readout_weight.max(4.0),
-        ..options.placement
+/// The readout-focused placement search of one program, shared by all of
+/// its CPMs (see the module docs for why sharing is exact).
+///
+/// [`CpmSearch::compile`] returns, bit for bit, what [`recompile_cpm`]
+/// returns for the same subset, and counts as one compilation on the
+/// [`probe`](crate::probe); building the search counts none.
+#[derive(Debug, Clone)]
+pub struct CpmSearch {
+    device: Device,
+    options: CompilerOptions,
+    n_logical: usize,
+    per_seed: Vec<Vec<Candidate>>,
+}
+
+impl CpmSearch {
+    /// Runs the seed × candidate placement search on the measurement-free
+    /// `program` under the readout-focused placement (readout weight at
+    /// least 4).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `program` declares measurements or is wider than the
+    /// device.
+    #[must_use]
+    pub fn new(program: &Circuit, device: &Device, options: &CompilerOptions) -> Self {
+        assert!(
+            program.measurements().is_empty(),
+            "build CPMs from the measurement-free program circuit"
+        );
+        let placement = crate::placement::PlacementConfig {
+            readout_weight: options.placement.readout_weight.max(4.0),
+            ..options.placement
+        };
+        let options = CompilerOptions { placement, ..*options };
+        let per_seed = search(program, device, &options, &[]);
+        Self { device: device.clone(), options, n_logical: program.n_qubits(), per_seed }
+    }
+
+    /// Compiles the CPM measuring `subset` (logical qubit `subset[k]` →
+    /// classical bit `k`): picks the highest-EPS candidate for this subset
+    /// and attaches the measurements to it from its final layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subset` is empty or contains duplicates/out-of-range
+    /// qubits, or if the search found no feasible placement.
+    #[must_use]
+    pub fn compile(&self, subset: &[usize]) -> Compiled {
+        assert!(!subset.is_empty(), "a CPM must measure at least one qubit");
+        for (k, &q) in subset.iter().enumerate() {
+            assert!(q < self.n_logical, "measured qubit {q} out of range");
+            assert!(!subset[..k].contains(&q), "qubit {q} is measured twice");
+        }
+        crate::probe::record_compile();
+        let (seed, k, eps) = select(&self.per_seed, &self.options, &[], |candidate| {
+            let layout = &candidate.routed.final_layout;
+            let measured = subset.iter().map(|&q| layout.physical(q));
+            measured_readout_eps(measured, subset.len(), &self.device)
+        });
+        let mut routed = self.per_seed[seed][k].routed.clone();
+        for (clbit, &q) in subset.iter().enumerate() {
+            let physical = routed.final_layout.physical(q);
+            routed.circuit.measure(physical, clbit);
+        }
+        Compiled { routed, eps }
     }
 }
 
 /// A compiled CPM as a standalone artifact: the logical subset it measures
 /// plus the physical circuit ready for the executor.
 ///
-/// This is the artifact-in/artifact-out face of CPM compilation the staged
-/// pipeline consumes: [`CpmArtifact::recompiled`] produces one from the
-/// logical program (paying a full placement search), while
+/// This is the artifact-in/artifact-out face of CPM compilation:
+/// [`CpmArtifact::recompiled`] produces one from the logical program
+/// (paying a full placement search, which [`CpmSearch`] shares across
+/// subsets instead), while
 /// [`CpmArtifact::reusing`] derives one from the already-compiled global
 /// artifact for free. Either way the result is a plain value that can be
 /// cached, cloned across sweep points, or executed independently.
@@ -179,6 +254,7 @@ pub fn cpm_reuse_layout(global: &Compiled, subset: &[usize]) -> Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile;
     use jigsaw_circuit::bench;
     use jigsaw_pmf::metrics;
     use jigsaw_sim::{ideal_pmf, Executor, RunConfig};

@@ -58,15 +58,21 @@ pub fn gate_eps(circuit: &Circuit, device: &Device) -> f64 {
 /// count.
 #[must_use]
 pub fn readout_eps(circuit: &Circuit, device: &Device) -> f64 {
-    let m = circuit.measurements().len();
+    let measured = circuit.measurements().iter().map(|meas| meas.qubit);
+    measured_readout_eps(measured, circuit.measurements().len(), device)
+}
+
+/// [`readout_eps`] of a circuit whose `m` measurements read the physical
+/// `qubits`, in measurement order — without materialising the circuit.
+pub(crate) fn measured_readout_eps(
+    qubits: impl Iterator<Item = usize>,
+    m: usize,
+    device: &Device,
+) -> f64 {
     if m == 0 {
         return 1.0;
     }
-    circuit
-        .measurements()
-        .iter()
-        .map(|meas| 1.0 - device.effective_readout(meas.qubit, m).mean())
-        .product()
+    qubits.map(|q| 1.0 - device.effective_readout(q, m).mean()).product()
 }
 
 #[cfg(test)]

@@ -14,7 +14,8 @@
 //!   routing, best EPS wins.
 //! * [`edm`] — the Ensemble-of-Diverse-Mappings prior work \[48\].
 //! * [`cpm`] — Circuits with Partial Measurements: construction, layout
-//!   reuse, and readout-focused recompilation (§4.2.2).
+//!   reuse, and readout-focused recompilation (§4.2.2) through one
+//!   placement search per program ([`CpmSearch`]).
 //!
 //! # Examples
 //!
@@ -41,7 +42,7 @@ pub mod probe;
 pub mod sabre;
 
 pub use compile::{compile, compile_with_avoidance, Compiled, CompilerOptions};
-pub use cpm::CpmArtifact;
+pub use cpm::{CpmArtifact, CpmSearch};
 pub use eps::{eps, gate_eps, readout_eps};
 pub use layout::Layout;
 pub use sabre::{route, Routed, SabreConfig};

@@ -236,8 +236,9 @@ fn cpm_count(stage: &SubsetsSelected) -> usize {
 /// [`SubsetsSelected::run_cpm_item_counts`] over the range and records
 /// the probe-counted compile cost (zero for `without_recompilation`
 /// sweeps — the bench and tests assert workers never recompile). The
-/// probe is process-global, so the `compiles` field is exact only when
-/// the process is not compiling concurrently.
+/// items run serially on the calling thread, so the `compiles` field reads
+/// the probe's per-thread tally and is exact even while other threads of
+/// the process compile.
 ///
 /// # Panics
 ///
@@ -253,7 +254,7 @@ pub fn execute_shard(stage: &SubsetsSelected, shard: &Shard) -> ShardPartial {
         shard.hi,
         work.len()
     );
-    let before = jigsaw_compiler::probe::compile_count();
+    let before = jigsaw_compiler::probe::thread_compile_count();
     let histograms: Vec<CpmHistogram> = work[shard.lo as usize..shard.hi as usize]
         .iter()
         .enumerate()
@@ -263,7 +264,7 @@ pub fn execute_shard(stage: &SubsetsSelected, shard: &Shard) -> ShardPartial {
             counts: stage.run_cpm_item_counts(item),
         })
         .collect();
-    let compiles = jigsaw_compiler::probe::compile_count().saturating_sub(before);
+    let compiles = jigsaw_compiler::probe::thread_compile_count() - before;
     ShardPartial { shard_index: shard.index, lo: shard.lo, hi: shard.hi, compiles, histograms }
 }
 

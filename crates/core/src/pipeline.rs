@@ -31,10 +31,12 @@
 //! [`JigsawResult::timings`].
 
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use jigsaw_circuit::Circuit;
-use jigsaw_compiler::{compile, Compiled, CompilerOptions, CpmArtifact};
+use jigsaw_compiler::cpm::cpm_reuse_layout;
+use jigsaw_compiler::{compile, Compiled, CompilerOptions, CpmSearch};
 use jigsaw_device::Device;
 use jigsaw_pmf::Pmf;
 use jigsaw_sim::{BackendKind, Executor, RunConfig};
@@ -708,6 +710,7 @@ impl GlobalRun {
             global_pmf: self.global_pmf,
             backend: self.backend,
             layers,
+            cpm_search: OnceLock::new(),
         }
     }
 }
@@ -722,6 +725,11 @@ pub struct SubsetsSelected {
     global_pmf: Pmf,
     backend: BackendKind,
     layers: Vec<SubsetLayer>,
+    /// The program's CPM placement search, built by the first recompiled
+    /// CPM item. A cache, not protocol state: empty on construction and on
+    /// decode, and outside `PartialEq` and the encoded bytes. Boxed so the
+    /// stage stays small inside `StageTask`.
+    cpm_search: OnceLock<Box<CpmSearch>>,
 }
 
 impl SubsetsSelected {
@@ -796,19 +804,19 @@ impl SubsetsSelected {
         // Inner executor runs and CPM placement searches stay serial: the
         // fan-out already uses the worker team, and nested teams would
         // oversubscribe cores.
-        let cpm_compiler = CompilerOptions { threads: 1, ..config.compiler };
         let cpm_run = config.run.with_seed(item.seed).with_threads(1);
-        let artifact = if config.recompile_cpms {
-            CpmArtifact::recompiled(
-                &self.ctx.program,
-                &item.subset,
-                &self.ctx.device,
-                &cpm_compiler,
-            )
+        let circuit = if config.recompile_cpms {
+            // One placement search serves every CPM of the stage: the first
+            // item builds it, concurrent items wait for it.
+            let search = self.cpm_search.get_or_init(|| {
+                let cpm_compiler = CompilerOptions { threads: 1, ..config.compiler };
+                Box::new(CpmSearch::new(&self.ctx.program, &self.ctx.device, &cpm_compiler))
+            });
+            search.compile(&item.subset).routed.circuit
         } else {
-            CpmArtifact::reusing(&self.global, &item.subset)
+            cpm_reuse_layout(&self.global, &item.subset)
         };
-        Executor::new(&self.ctx.device).run(&artifact.circuit, item.trials, &cpm_run)
+        Executor::new(&self.ctx.device).run(&circuit, item.trials, &cpm_run)
     }
 
     /// The persist config digest of the producing `(program, device,
@@ -1376,7 +1384,7 @@ impl Decode for SubsetsSelected {
                 });
             }
         }
-        Ok(Self { ctx, global, global_pmf, backend, layers })
+        Ok(Self { ctx, global, global_pmf, backend, layers, cpm_search: OnceLock::new() })
     }
 }
 
@@ -1436,6 +1444,43 @@ mod tests {
             .run_cpms()
             .reconstruct();
         assert_eq!(one_shot, staged);
+    }
+
+    #[test]
+    fn recompiled_stage_shares_one_search_and_counts_each_cpm() {
+        // Serial throughout, so every compile lands on this thread's tally.
+        let device = Device::toronto();
+        let b = bench::ghz(7);
+        let mut config = JigsawConfig {
+            compiler: CompilerOptions { max_seeds: 4, ..CompilerOptions::default() },
+            ..JigsawConfig::jigsaw_m(4000)
+        }
+        .with_seed(3);
+        config.run = config.run.with_threads(1);
+        let before = jigsaw_compiler::probe::thread_compile_count();
+        let stage = JigsawPipeline::plan(b.circuit(), &device, &config)
+            .compile_global()
+            .run_global()
+            .select_subsets();
+        let work = stage.cpm_work();
+        let cpms = stage.run_cpms();
+        let compiles = jigsaw_compiler::probe::thread_compile_count() - before;
+        assert!(work.len() > 1);
+        assert_eq!(compiles, 1 + work.len() as u64, "one global compile plus one per CPM");
+
+        // Each marginal equals a one-shot recompilation of its CPM.
+        let cpm_compiler = CompilerOptions { threads: 1, ..config.compiler };
+        for (item, marginal) in work.iter().zip(cpms.marginals()) {
+            let artifact = jigsaw_compiler::CpmArtifact::recompiled(
+                b.circuit(),
+                &item.subset,
+                &device,
+                &cpm_compiler,
+            );
+            let run = config.run.with_seed(item.seed).with_threads(1);
+            let counts = Executor::new(&device).run(&artifact.circuit, item.trials, &run);
+            assert_eq!(*marginal, Marginal::new(item.subset.clone(), counts.to_pmf()));
+        }
     }
 
     #[test]

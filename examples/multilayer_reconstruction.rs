@@ -7,8 +7,7 @@
 //! ```
 
 use jigsaw_repro::circuit::{bench, qasm};
-use jigsaw_repro::compiler::cpm::recompile_cpm;
-use jigsaw_repro::compiler::{compile, CompilerOptions};
+use jigsaw_repro::compiler::{compile, CompilerOptions, CpmSearch};
 use jigsaw_repro::core::subsets::sliding_window;
 use jigsaw_repro::core::{reconstruct, Marginal, ReconstructionConfig};
 use jigsaw_repro::device::Device;
@@ -56,6 +55,8 @@ fn main() {
     println!();
     println!("Hierarchical reconstruction, largest subsets first:");
 
+    // One placement search serves every CPM of the program.
+    let search = CpmSearch::new(bench.circuit(), &device, &compiler);
     let mut current = global_pmf;
     for (i, size) in [5usize, 4, 3, 2].into_iter().enumerate() {
         let windows = sliding_window(12, size);
@@ -64,7 +65,7 @@ fn main() {
             .iter()
             .enumerate()
             .map(|(k, subset)| {
-                let cpm = recompile_cpm(bench.circuit(), subset, &device, &compiler);
+                let cpm = search.compile(subset);
                 let counts = executor.run(
                     cpm.circuit(),
                     per_cpm.max(1),
