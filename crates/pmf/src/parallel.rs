@@ -14,9 +14,8 @@
 //!    finished first.
 //!
 //! [`fan_out`] is the single fan-out engine: the executor's trajectory
-//! batches, `jigsaw_core`'s CPM subset mode and the per-marginal indexing of
-//! Bayesian reconstruction all go through it (the first two via the
-//! `jigsaw_sim::parallel` re-export).
+//! walkers, `jigsaw_core`'s CPM subset mode and the per-marginal indexing of
+//! Bayesian reconstruction all call it directly.
 
 /// Number of entries per shard for sharded PMF operations.
 ///

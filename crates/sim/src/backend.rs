@@ -21,8 +21,6 @@
 //! that fits the dense cap — the property the backend-agreement tests pin
 //! down.
 
-use std::sync::Mutex;
-
 use jigsaw_circuit::clifford::is_clifford_gate;
 use jigsaw_circuit::{Circuit, Gate};
 use jigsaw_pmf::BitString;
@@ -171,11 +169,13 @@ pub fn select_backend(circuit: &Circuit, choice: BackendChoice) -> BackendKind {
 
 /// What the executor needs from a state representation.
 ///
-/// The lifecycle per trajectory is: [`reset`](SimBackend::reset) → gates
-/// and injected Paulis → [`prepare_sampling`](SimBackend::prepare_sampling)
-/// → [`resolve_draws`](SimBackend::resolve_draws). Backends keep their
-/// allocations across that cycle so a buffer pool can recycle them
-/// between trajectory batches.
+/// The lifecycle per trajectory is: a starting state — `|0…0⟩` from
+/// [`new`](SimBackend::new), or a saved state taken over with
+/// [`copy_from`](SimBackend::copy_from) → gates and injected Paulis →
+/// [`prepare_sampling`](SimBackend::prepare_sampling) →
+/// [`resolve_draws`](SimBackend::resolve_draws). Backends keep their
+/// allocations across that cycle, so the executor's trajectory walkers
+/// reuse one working state per walker instead of reallocating per batch.
 pub trait SimBackend: Send + Sync {
     /// Creates the backend in `|0…0⟩` over `n_qubits`.
     ///
@@ -189,8 +189,12 @@ pub trait SimBackend: Send + Sync {
     /// Register width.
     fn n_qubits(&self) -> usize;
 
-    /// Returns to `|0…0⟩` without reallocating.
-    fn reset(&mut self);
+    /// Takes over `other`'s state, bit for bit, keeping this backend's
+    /// allocation when the widths match. Sampling must be prepared again
+    /// afterwards.
+    fn copy_from(&mut self, other: &Self)
+    where
+        Self: Sized;
 
     /// Applies a circuit gate.
     ///
@@ -248,8 +252,8 @@ impl SimBackend for DenseBackend {
         self.sv.n_qubits()
     }
 
-    fn reset(&mut self) {
-        self.sv.reset();
+    fn copy_from(&mut self, other: &Self) {
+        self.sv.clone_from(&other.sv);
         self.cdf.clear();
     }
 
@@ -305,8 +309,8 @@ impl SimBackend for StabilizerBackend {
         self.tab.n_qubits()
     }
 
-    fn reset(&mut self) {
-        self.tab.reset();
+    fn copy_from(&mut self, other: &Self) {
+        self.tab.clone_from(&other.tab);
         self.coset = None;
     }
 
@@ -362,30 +366,6 @@ fn resolve_sorted(cdf: &[f64], n_qubits: usize, draws: &[u64], out: &mut Vec<Bit
             pos += 1;
         }
         out[start + i as usize] = BitString::from_u64(pos as u64, n_qubits);
-    }
-}
-
-/// A lock-guarded stack of reusable backends, shared by the executor's
-/// worker threads so trajectory batches recycle state buffers instead of
-/// reallocating `2^n` vectors (or tableaux) per batch.
-#[derive(Debug)]
-pub(crate) struct BufferPool<B> {
-    slots: Mutex<Vec<B>>,
-}
-
-impl<B> BufferPool<B> {
-    pub(crate) fn new() -> Self {
-        Self { slots: Mutex::new(Vec::new()) }
-    }
-
-    /// Pops a pooled backend, if any.
-    pub(crate) fn take(&self) -> Option<B> {
-        self.slots.lock().expect("pool lock").pop()
-    }
-
-    /// Returns a backend to the pool for the next batch.
-    pub(crate) fn put(&self, backend: B) {
-        self.slots.lock().expect("pool lock").push(backend);
     }
 }
 
@@ -477,16 +457,6 @@ mod tests {
         dense.resolve_draws(&draws, &mut a);
         stab.resolve_draws(&draws, &mut b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn pool_recycles_backends() {
-        let pool: BufferPool<DenseBackend> = BufferPool::new();
-        assert!(pool.take().is_none());
-        pool.put(DenseBackend::new(2));
-        let b = pool.take().expect("pooled backend");
-        assert_eq!(b.n_qubits(), 2);
-        assert!(pool.take().is_none());
     }
 
     #[test]

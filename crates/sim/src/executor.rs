@@ -19,27 +19,45 @@
 //! on both paths — identically enough that histograms are bit-equal where
 //! the backends overlap.
 //!
-//! Trials are grouped into trajectories that share one sampled error
-//! configuration; the (common) error-free trajectory reuses one shared
-//! prepared state, and noisy trajectories recycle pooled state buffers
-//! instead of reallocating. Within a batch, every trial's outcome draw is
-//! taken up front and resolved in a single sorted sweep of the
+//! Trials are grouped into batches that share one sampled error
+//! configuration (a trajectory). Within a batch, every trial's outcome
+//! draw is taken up front and resolved in a single sorted sweep of the
 //! distribution.
 //!
+//! # Prefix-shared trajectory replay
+//!
+//! Up to its first gate error, a noisy trajectory *is* the ideal
+//! trajectory, and on typical circuits most gate applications fall in that
+//! error-free prefix. So the batches are sorted by prefix length (ties by
+//! batch index) and dealt round-robin to one walker per worker. Each walker
+//! carries one ideal state forward through the gates, never back; for a
+//! noisy batch it copies that state into its one working state and replays
+//! only the rest: the events after the last error-free gate, the remaining
+//! gates with their events, and the end-of-circuit Paulis. Error-free
+//! batches sample the walker's ideal state directly once it has taken
+//! every gate. The sharing is exact: every gate and Pauli application is a
+//! pure function of the state it starts from, so the prefix state is bit
+//! for bit the state a full replay reaches at the same gate. A walker holds
+//! two states (ideal and working) plus their sampling buffers, so a run
+//! holds two states per worker — at the 24-qubit dense cap one state is
+//! 256 MiB.
+//!
 //! Each batch draws from its own RNG stream, derived from
-//! [`RunConfig::seed`] and the batch index, so batches are independent and
-//! can run on a thread team ([`RunConfig::threads`]) while staying
-//! bit-identical to a serial run of the same seed.
+//! [`RunConfig::seed`] and the batch index: first its noise plan, then its
+//! outcome draws, then its readout flips. Batches are therefore independent
+//! of the walker that runs them and of execution order, so the walkers run
+//! on a thread team ([`RunConfig::threads`]) and, merged in batch order,
+//! stay bit-identical to a serial run of the same seed.
 
-use jigsaw_circuit::Circuit;
+use jigsaw_circuit::{Circuit, Gate};
 use jigsaw_device::Device;
+use jigsaw_pmf::parallel::fan_out;
 use jigsaw_pmf::{BitString, Counts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::backend::{
-    select_backend, BackendChoice, BackendKind, BufferPool, DenseBackend, SimBackend,
-    StabilizerBackend,
+    select_backend, BackendChoice, BackendKind, DenseBackend, SimBackend, StabilizerBackend,
 };
 use crate::noise::{NoiseModel, NoisePlan};
 
@@ -253,104 +271,146 @@ impl<'d> Executor<'d> {
             .collect();
 
         let n_clbits = compact.n_clbits();
+        let gates = compact.gates();
 
         // Carve the trial budget into batches, each owning a seed-derived
         // RNG stream. The noise plan is drawn first from that stream (so a
         // batch is self-contained), and the outcome/readout draws continue
         // on it.
         let batch_size = config.batch.max(1);
-        let mut batches: Vec<(NoisePlan, StdRng, u64)> = Vec::new();
+        let mut batches: Vec<Batch> = Vec::new();
         let mut remaining = trials;
-        let mut index = 0u64;
         while remaining > 0 {
             let k = remaining.min(batch_size);
             remaining -= k;
-            let mut rng = StdRng::seed_from_u64(crate::seed::mix(config.seed, index));
-            index += 1;
+            let index = batches.len();
+            let mut rng = StdRng::seed_from_u64(crate::seed::mix(config.seed, index as u64));
             let plan = model.sample_plan(&mut rng);
-            batches.push((plan, rng, k));
+            let clean = plan.gate_events.first().map_or(gates.len(), |ev| ev.after_gate + 1);
+            batches.push(Batch { index, clean, plan, rng, trials: k });
         }
 
-        // The error-free trajectory is common; share one prepared ideal
-        // state across every batch that needs it instead of resimulating
-        // per batch.
-        let ideal: Option<B> = batches.iter().any(|(plan, _, _)| plan.is_empty()).then(|| {
-            let mut b = B::new(compact.n_qubits());
-            for g in compact.gates() {
-                b.apply_gate(g);
-            }
-            b.prepare_sampling();
-            b
-        });
+        // Deal the batches, in order of their error-free prefix length, to
+        // one walker per worker; each walker's prefixes then only grow.
+        batches.sort_by_key(|b| (b.clean, b.index));
+        let walkers = config.effective_threads().min(batches.len());
+        let mut lanes: Vec<Vec<Batch>> = (0..walkers).map(|_| Vec::new()).collect();
+        for (i, batch) in batches.into_iter().enumerate() {
+            lanes[i % walkers].push(batch);
+        }
 
-        // Noisy trajectories recycle state buffers through a shared pool
-        // rather than reallocating per batch.
-        let pool: BufferPool<B> = BufferPool::new();
-
-        let run_batch = |(plan, mut rng, k): (NoisePlan, StdRng, u64)| -> Counts {
-            // All outcome draws are taken up front (one u64 per trial) and
-            // resolved in a single sorted sweep; readout-flip draws follow,
-            // so the RNG stream layout is identical on every backend.
-            let draws: Vec<u64> = (0..k).map(|_| rng.gen::<u64>()).collect();
-            let mut outcomes: Vec<BitString> = Vec::with_capacity(draws.len());
-            if plan.is_empty() {
-                ideal
-                    .as_ref()
-                    .expect("ideal backend precomputed")
-                    .resolve_draws(&draws, &mut outcomes);
-            } else {
-                let mut backend = pool.take().unwrap_or_else(|| B::new(compact.n_qubits()));
-                backend.reset();
-                // gate_events is sorted by after_gate, so one advancing
-                // cursor replays the trajectory in O(gates + events).
-                let mut next_event = 0;
-                for (i, g) in compact.gates().iter().enumerate() {
-                    backend.apply_gate(g);
-                    while let Some(ev) = plan.gate_events.get(next_event) {
-                        if ev.after_gate != i {
-                            break;
+        let walk = |lane: Vec<Batch>| -> Vec<(usize, Counts)> {
+            // `prefix` holds the ideal state after `gates[..applied]`;
+            // noisy trajectories copy it into `work` and resume there.
+            let mut prefix = B::new(compact.n_qubits());
+            let mut applied = 0;
+            let mut prepared = false;
+            let mut work: Option<B> = None;
+            let mut outcomes: Vec<BitString> = Vec::new();
+            lane.into_iter()
+                .map(|Batch { index, clean, plan, mut rng, trials: k }| {
+                    // All outcome draws are taken up front (one u64 per
+                    // trial) and resolved in a single sorted sweep;
+                    // readout-flip draws follow, so the RNG stream layout is
+                    // identical on every backend.
+                    let draws: Vec<u64> = (0..k).map(|_| rng.gen::<u64>()).collect();
+                    if applied < clean {
+                        for g in &gates[applied..clean] {
+                            prefix.apply_gate(g);
                         }
-                        backend.apply_pauli(ev.qubit, ev.pauli);
-                        next_event += 1;
+                        applied = clean;
+                        prepared = false;
                     }
-                }
-                for &(q, pauli) in &plan.end_events {
-                    backend.apply_pauli(q, pauli);
-                }
-                backend.prepare_sampling();
-                backend.resolve_draws(&draws, &mut outcomes);
-                pool.put(backend);
-            }
+                    outcomes.clear();
+                    if plan.is_empty() {
+                        // The prefix has taken every gate: the ideal state.
+                        if !prepared {
+                            prefix.prepare_sampling();
+                            prepared = true;
+                        }
+                        prefix.resolve_draws(&draws, &mut outcomes);
+                    } else {
+                        let work = work.get_or_insert_with(|| B::new(compact.n_qubits()));
+                        work.copy_from(&prefix);
+                        replay_from_first_error(work, gates, &plan, clean);
+                        work.prepare_sampling();
+                        work.resolve_draws(&draws, &mut outcomes);
+                    }
 
-            let mut counts = Counts::new(n_clbits);
-            for raw in &outcomes {
-                let mut out = BitString::zeros(n_clbits);
-                for &(q, clbit, e01, e10) in &readout {
-                    let mut bit = raw.bit(q);
-                    let flip_p = if bit { e10 } else { e01 };
-                    if flip_p > 0.0 && rng.gen::<f64>() < flip_p {
-                        bit = !bit;
+                    let mut counts = Counts::new(n_clbits);
+                    for raw in &outcomes {
+                        let mut out = BitString::zeros(n_clbits);
+                        for &(q, clbit, e01, e10) in &readout {
+                            let mut bit = raw.bit(q);
+                            let flip_p = if bit { e10 } else { e01 };
+                            if flip_p > 0.0 && rng.gen::<f64>() < flip_p {
+                                bit = !bit;
+                            }
+                            if bit {
+                                out.set_bit(clbit, true);
+                            }
+                        }
+                        counts.record(out);
                     }
-                    if bit {
-                        out.set_bit(clbit, true);
-                    }
-                }
-                counts.record(out);
-            }
-            counts
+                    (index, counts)
+                })
+                .collect()
         };
 
-        // Fan the batches out on the configured worker team and merge in
-        // batch order. parallel and serial runs produce identical
-        // histograms because every batch's randomness is pinned to its
-        // index, not to execution order.
-        let per_batch: Vec<Counts> = crate::parallel::fan_out(batches, config.threads, run_batch);
-
+        // Run the walkers on the configured worker team and merge in batch
+        // order. Parallel and serial runs produce identical histograms
+        // because every batch's randomness is pinned to its index, not to
+        // its walker or to execution order.
+        let mut per_batch: Vec<(usize, Counts)> =
+            fan_out(lanes, config.threads, walk).into_iter().flatten().collect();
+        per_batch.sort_unstable_by_key(|&(index, _)| index);
         let mut counts = Counts::new(n_clbits);
-        for batch in &per_batch {
+        for (_, batch) in &per_batch {
             counts.merge(batch);
         }
         counts
+    }
+}
+
+/// One trajectory batch of the trial budget.
+struct Batch {
+    /// Position in the budget: names the RNG stream and the merge slot.
+    index: usize,
+    /// Error-free leading gates: the first gate error strikes after gate
+    /// `clean − 1` (every gate when the plan has no gate event).
+    clean: usize,
+    plan: NoisePlan,
+    /// The batch's stream, positioned just after its noise plan.
+    rng: StdRng,
+    trials: u64,
+}
+
+/// Finishes a noisy trajectory on `state`, which holds the ideal state
+/// after `gates[..clean]`: the events after gate `clean − 1`, then each
+/// remaining gate followed by its events, then the end-of-circuit Paulis.
+fn replay_from_first_error<B: SimBackend>(
+    state: &mut B,
+    gates: &[Gate],
+    plan: &NoisePlan,
+    clean: usize,
+) {
+    // gate_events is sorted by after_gate, so one advancing cursor replays
+    // the trajectory in O(gates + events).
+    let mut events = plan.gate_events.iter().peekable();
+    let mut strike = |state: &mut B, after: usize| {
+        while let Some(ev) = events.next_if(|ev| ev.after_gate == after) {
+            state.apply_pauli(ev.qubit, ev.pauli);
+        }
+    };
+    if let Some(last_clean) = clean.checked_sub(1) {
+        strike(state, last_clean);
+    }
+    for (i, g) in gates.iter().enumerate().skip(clean) {
+        state.apply_gate(g);
+        strike(state, i);
+    }
+    for &(q, pauli) in &plan.end_events {
+        state.apply_pauli(q, pauli);
     }
 }
 

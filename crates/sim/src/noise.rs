@@ -66,8 +66,8 @@ pub struct NoisePlan {
 }
 
 impl NoisePlan {
-    /// `true` when the trajectory is noiseless (it can reuse the cached
-    /// ideal state — the executor's main fast path).
+    /// `true` when the trajectory is noiseless (it samples the executor's
+    /// shared ideal state directly — the executor's main fast path).
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.gate_events.is_empty() && self.end_events.is_empty()

@@ -51,7 +51,7 @@ pub const MAX_ENUM_RANK: usize = 20;
 /// assert_eq!(support.len(), 2);
 /// assert!((support[0].1 - 0.5).abs() < 1e-15);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct StabilizerTableau {
     n: usize,
     /// Words per row.
@@ -62,6 +62,28 @@ pub struct StabilizerTableau {
     zs: Vec<u64>,
     /// Sign bits (`0` = `+`, `1` = `−`), one per row.
     sign: Vec<u8>,
+}
+
+impl Clone for StabilizerTableau {
+    fn clone(&self) -> Self {
+        Self {
+            n: self.n,
+            words: self.words,
+            xs: self.xs.clone(),
+            zs: self.zs.clone(),
+            sign: self.sign.clone(),
+        }
+    }
+
+    /// Copies `source` into this tableau's buffers: no allocation when the
+    /// widths match (the executor's per-trajectory working state).
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.words = source.words;
+        self.xs.clone_from(&source.xs);
+        self.zs.clone_from(&source.zs);
+        self.sign.clone_from(&source.sign);
+    }
 }
 
 impl StabilizerTableau {
@@ -95,8 +117,7 @@ impl StabilizerTableau {
         self.n
     }
 
-    /// Returns the state to `|0…0⟩` without reallocating — the buffer-reuse
-    /// entry point for pooled trajectory execution.
+    /// Returns the state to `|0…0⟩` without reallocating.
     pub fn reset(&mut self) {
         self.xs.fill(0);
         self.zs.fill(0);
@@ -644,6 +665,18 @@ mod tests {
         tab.apply_gate(&Gate::Cx(0, 2));
         tab.reset();
         assert_eq!(tab, StabilizerTableau::new(3));
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_existing_buffers() {
+        let mut source = StabilizerTableau::new(3);
+        source.apply_gate(&Gate::H(0));
+        source.apply_gate(&Gate::Cx(0, 2));
+        let mut copy = StabilizerTableau::new(3);
+        let buffers = (copy.xs.as_ptr(), copy.zs.as_ptr(), copy.sign.as_ptr());
+        copy.clone_from(&source);
+        assert_eq!(copy, source);
+        assert_eq!((copy.xs.as_ptr(), copy.zs.as_ptr(), copy.sign.as_ptr()), buffers);
     }
 
     #[test]

@@ -25,10 +25,23 @@ pub const MAX_SIM_QUBITS: usize = 24;
 /// assert!((sv.probability(0b00) - 0.5).abs() < 1e-12);
 /// assert!((sv.probability(0b11) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct StateVector {
     n_qubits: usize,
     amps: Vec<Complex>,
+}
+
+impl Clone for StateVector {
+    fn clone(&self) -> Self {
+        Self { n_qubits: self.n_qubits, amps: self.amps.clone() }
+    }
+
+    /// Copies `source` into this vector's buffer: no allocation when the
+    /// widths match (the executor's per-trajectory working state).
+    fn clone_from(&mut self, source: &Self) {
+        self.n_qubits = source.n_qubits;
+        self.amps.clone_from(&source.amps);
+    }
 }
 
 impl StateVector {
@@ -52,13 +65,6 @@ impl StateVector {
     #[must_use]
     pub fn n_qubits(&self) -> usize {
         self.n_qubits
-    }
-
-    /// Returns the state to `|0…0⟩` without reallocating — the buffer-reuse
-    /// entry point for pooled trajectory execution.
-    pub fn reset(&mut self) {
-        self.amps.fill(Complex::ZERO);
-        self.amps[0] = Complex::ONE;
     }
 
     /// Amplitude of a basis state.
@@ -178,8 +184,7 @@ impl StateVector {
     }
 
     /// Writes the cumulative distribution into `out`, reusing its capacity
-    /// (the executor's pooled dense backend rebuilds the CDF per
-    /// trajectory).
+    /// (the executor's dense backend rebuilds the CDF per trajectory).
     pub fn cumulative_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.reserve(self.amps.len());
@@ -257,6 +262,17 @@ mod tests {
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-10, "{a} vs {b}");
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_existing_buffer() {
+        let mut source = StateVector::new(3);
+        source.apply_all(&[Gate::H(0), Gate::Rx(1, 0.4), Gate::Cx(0, 2)]);
+        let mut copy = StateVector::new(3);
+        let buffer = copy.amps.as_ptr();
+        copy.clone_from(&source);
+        assert_eq!(copy, source);
+        assert_eq!(copy.amps.as_ptr(), buffer);
     }
 
     #[test]
