@@ -206,6 +206,7 @@ impl Config {
             locks: vec![
                 lock("crates/core/src/dist.rs", "queue", "dist.queue", 5),
                 lock("crates/server/src/server.rs", "pending", "server.conn_queue", 10),
+                lock("crates/server/src/server.rs", "entries", "server.shard_stages", 15),
                 lock("crates/server/src/cache.rs", "inner", "cache.inner", 20),
                 lock("crates/core/src/sched.rs", "state", "sched.state", 30),
                 lock("crates/core/src/sched.rs", "slot", "sched.cell.slot", 40),

@@ -268,6 +268,15 @@ pub fn dist_shards(outcome: &str) -> Counter {
     global().counter("jigsaw_dist_shards_total", &[("outcome", outcome)])
 }
 
+/// Worker stage-reuse counter
+/// (`jigsaw_dist_stage_reuse_total{outcome=...}`): per shard served,
+/// `"hit"` when the worker already held an equal stage (and with it the
+/// stage's CPM placement search), `"miss"` when it kept the decoded one.
+#[must_use]
+pub fn dist_stage_reuse(outcome: &str) -> Counter {
+    global().counter("jigsaw_dist_stage_reuse_total", &[("outcome", outcome)])
+}
+
 /// Distributed-sweep retry counter (`jigsaw_dist_retries_total`):
 /// incremented by the driver each time a failed shard is requeued for a
 /// surviving worker.

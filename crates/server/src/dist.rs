@@ -16,6 +16,12 @@
 //! per-CPM seeds are pinned by CPM index, the retry produces the same
 //! bytes the dead worker would have — the merged result is bit-identical
 //! no matter how many workers die (as long as one survives).
+//!
+//! Workers keep the few stages they most recently served shards of (see
+//! `server::serve`): every shard of a stage that reaches one worker runs
+//! on the same in-memory stage, so a recompiled sweep pays one CPM
+//! placement search per worker, not one per shard. The frames still carry
+//! the full stage, and each shard still executes.
 
 use std::net::SocketAddr;
 

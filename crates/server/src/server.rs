@@ -22,6 +22,10 @@
 //! at every thread count and the encoded `JigsawResult` excludes wall
 //! clocks — regardless of lane, interleaving or batching.
 //!
+//! Shard submissions skip the cache and go straight to the scheduler, but
+//! their decoded stages resolve through a small table of recently served
+//! stages, so every shard of a stage shares one CPM placement search.
+//!
 //! Shutdown is cooperative: a [`FrameKind::Shutdown`] frame (or
 //! [`ServerHandle::shutdown`]) raises a flag, a self-connection unblocks
 //! the acceptor, handler read loops notice the flag at their next read
@@ -40,6 +44,7 @@ use std::time::Duration;
 use jigsaw_core::dist::ShardRequest;
 use jigsaw_core::lockcheck::{Condvar, Mutex};
 use jigsaw_core::persist;
+use jigsaw_core::pipeline::SubsetsSelected;
 use jigsaw_core::sched::{JobError, SchedConfig, Scheduler};
 use jigsaw_core::telemetry::{self, Counter};
 use jigsaw_core::StageKind;
@@ -54,6 +59,9 @@ use crate::protocol::{
 
 /// How often an idle handler re-checks the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Stages a server keeps for the shards it serves (see [`ShardStages`]).
+const SHARD_STAGES: usize = 4;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -234,12 +242,56 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Shard-frame fault injection shared by the handler pool: counts
-/// `SubmitShard` arrivals so [`ServerConfig::die_after_shards`] can kill
-/// the process on the configured one.
-struct FaultPlan {
+/// Shard-serving state shared by the handler pool: the stage table every
+/// shard resolves its stage through, and the `SubmitShard` arrival count
+/// [`ServerConfig::die_after_shards`] kills the process on.
+struct ShardService {
+    stages: ShardStages,
     shards_seen: AtomicU64,
     die_after_shards: Option<u64>,
+}
+
+/// The stages a worker recently served shards of, least recently used
+/// first, bounded to a fixed count.
+///
+/// Every `SubmitShard` frame decodes a fresh [`SubsetsSelected`], and a
+/// fresh stage starts with an empty CPM placement search. Resolving the
+/// decoded stage here hands every shard of one stage the same `Arc`, so a
+/// recompiled sweep pays one search per worker instead of one per shard,
+/// and a later sweep that resends an identical stage pays none. Entries are found by config digest and confirmed by full stage
+/// equality: stages built with `override_subsets` share a digest but not
+/// their layers. Only the stage is kept — every shard still executes.
+struct ShardStages {
+    entries: Mutex<Vec<(u64, Arc<SubsetsSelected>)>>,
+    capacity: usize,
+}
+
+impl ShardStages {
+    fn new(capacity: usize) -> Self {
+        Self { entries: Mutex::new("server.shard_stages", Vec::new()), capacity }
+    }
+
+    /// The held stage equal to `stage` (whose config digest is `digest`),
+    /// or `stage` itself, now held in place of the least recently used
+    /// entry if the table is full; and whether it was already held. One
+    /// lock covers lookup and insert, so concurrent shards of a new stage
+    /// all get the `Arc` the first of them inserted.
+    fn resolve(&self, digest: u64, stage: SubsetsSelected) -> (Arc<SubsetsSelected>, bool) {
+        let mut entries = self.entries.lock();
+        let held = entries.iter().position(|(d, held)| *d == digest && **held == stage);
+        let hit = held.is_some();
+        let stage = match held {
+            Some(at) => entries.remove(at).1,
+            None => {
+                if entries.len() == self.capacity {
+                    entries.remove(0);
+                }
+                Arc::new(stage)
+            }
+        };
+        entries.push((digest, Arc::clone(&stage)));
+        (stage, hit)
+    }
 }
 
 /// Counters the serving layer feeds (the cache and scheduler register
@@ -272,7 +324,8 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
     let shutdown = Arc::new(AtomicBool::new(false));
     let conns = Arc::new(ConnQueue::new(config.queue_depth));
     let metrics = ServerMetrics::register();
-    let faults = Arc::new(FaultPlan {
+    let shards = Arc::new(ShardService {
+        stages: ShardStages::new(SHARD_STAGES),
         shards_seen: AtomicU64::new(0),
         die_after_shards: config.die_after_shards,
     });
@@ -308,11 +361,11 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
             let cache = Arc::clone(&cache);
             let scheduler = Arc::clone(&scheduler);
             let metrics = metrics.clone();
-            let faults = Arc::clone(&faults);
+            let shards = Arc::clone(&shards);
             std::thread::spawn(move || {
                 while let Some(stream) = conns.pop(&shutdown) {
                     handle_connection(
-                        stream, &cache, &scheduler, &shutdown, &metrics, &faults, addr,
+                        stream, &cache, &scheduler, &shutdown, &metrics, &shards, addr,
                     );
                 }
             })
@@ -338,7 +391,7 @@ fn handle_connection(
     scheduler: &Scheduler,
     shutdown: &Arc<AtomicBool>,
     metrics: &ServerMetrics,
-    faults: &FaultPlan,
+    shards: &ShardService,
     self_addr: SocketAddr,
 ) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
@@ -363,7 +416,7 @@ fn handle_connection(
         };
         let keep_going = match frame.kind {
             FrameKind::SubmitJob => handle_submit(&mut stream, &frame, cache, scheduler, metrics),
-            FrameKind::SubmitShard => handle_shard(&mut stream, &frame, scheduler, faults),
+            FrameKind::SubmitShard => handle_shard(&mut stream, &frame, scheduler, shards),
             FrameKind::MetricsRequest => {
                 let text = telemetry::global().render_text();
                 Frame { kind: FrameKind::MetricsText, digest: 0, payload: text.into_bytes() }
@@ -445,18 +498,20 @@ fn handle_submit(
 /// and writes the reply frame. Returns whether the connection should stay
 /// open.
 ///
-/// Shards are *not* routed through the stage cache: a sweep driver never
-/// re-asks for a shard it already holds, and retried shards after a worker
-/// death land on a *different* process, so per-process memoisation would
+/// The decoded stage resolves through the server's [`ShardStages`], so the
+/// shards of one stage share its CPM placement search. Shard *results* are
+/// never memoised (nor routed through the stage cache): a sweep driver
+/// never re-asks for a shard it already holds, and retried shards after a
+/// worker death land on a *different* process, so keeping results would
 /// only hide the recompute the fault suites want to observe.
 fn handle_shard(
     stream: &mut TcpStream,
     frame: &Frame,
     scheduler: &Scheduler,
-    faults: &FaultPlan,
+    shards: &ShardService,
 ) -> bool {
-    let received = faults.shards_seen.fetch_add(1, Ordering::SeqCst) + 1;
-    if faults.die_after_shards.is_some_and(|n| received >= n) {
+    let received = shards.shards_seen.fetch_add(1, Ordering::SeqCst) + 1;
+    if shards.die_after_shards.is_some_and(|n| received >= n) {
         // Simulate a worker killed mid-shard: exit before any reply, so
         // the driver observes a dead connection, never an error frame.
         std::process::exit(86);
@@ -480,7 +535,7 @@ fn handle_shard(
         }
     };
     let digest = frame.digest;
-    let reply = match compute_shard(scheduler, request) {
+    let reply = match compute_shard(scheduler, &shards.stages, digest, request) {
         Ok(partial) => {
             telemetry::dist_shards("ok").inc();
             Frame { kind: FrameKind::ShardResult, digest, payload: encode_to_vec(&partial) }
@@ -493,16 +548,22 @@ fn handle_shard(
     reply.write_to(stream).is_ok()
 }
 
-/// Submits one decoded shard to the stage scheduler in its priority lane
+/// Resolves one decoded shard's stage (config digest `digest`) through
+/// `stages`, submits the shard to the stage scheduler in its priority lane
 /// and waits for the partial. The partial's bytes are what
 /// `dist::execute_shard` produces in-process — per-CPM seeds are pinned
-/// by index, so which worker runs the shard never shows in the result.
+/// by index, so which worker runs the shard, and whether its stage was
+/// already held, never shows in the result.
 fn compute_shard(
     scheduler: &Scheduler,
+    stages: &ShardStages,
+    digest: u64,
     request: ShardRequest,
 ) -> Result<ShardPartial, JobRejection> {
+    let (stage, hit) = stages.resolve(digest, request.stage);
+    telemetry::dist_stage_reuse(if hit { "hit" } else { "miss" }).inc();
     let ticket = scheduler
-        .submit_shard(Arc::new(request.stage), request.shard, request.priority)
+        .submit_shard(stage, request.shard, request.priority)
         .map_err(|e| reject_job(&e))?;
     ticket.wait().map_err(|e| reject_job(&e))
 }
@@ -577,4 +638,106 @@ fn rehydrate_job(
         }
     };
     Ok((encode_to_vec(&result), bytes))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jigsaw_circuit::bench;
+    use jigsaw_core::pipeline::{GlobalRun, JigsawPipeline};
+    use jigsaw_core::JigsawConfig;
+    use jigsaw_device::Device;
+    use jigsaw_pmf::codec::decode_from_slice;
+
+    /// ghz(6) on Toronto with recompiled CPMs, stopped before subset
+    /// selection.
+    fn global_run(seed: u64) -> GlobalRun {
+        let mut config = JigsawConfig::jigsaw(1_200).with_seed(seed);
+        config.compiler.max_seeds = 3;
+        JigsawPipeline::plan(bench::ghz(6).circuit(), &Device::toronto(), &config)
+            .compile_global()
+            .run_global()
+    }
+
+    fn stage(seed: u64) -> SubsetsSelected {
+        global_run(seed).select_subsets()
+    }
+
+    /// What a worker holds after decoding a shard frame: an equal stage
+    /// with an empty search cell.
+    fn redecoded(stage: &SubsetsSelected) -> SubsetsSelected {
+        decode_from_slice(&encode_to_vec(stage)).expect("stage round-trips")
+    }
+
+    #[test]
+    fn an_equal_stage_resolves_to_the_held_arc() {
+        let stages = ShardStages::new(SHARD_STAGES);
+        let original = stage(7);
+        let digest = original.config_digest();
+        let (first, hit) = stages.resolve(digest, redecoded(&original));
+        assert!(!hit, "a new stage is a miss");
+        let (second, hit) = stages.resolve(digest, redecoded(&original));
+        assert!(hit, "an equal stage is a hit");
+        assert!(Arc::ptr_eq(&first, &second), "an equal stage must share the held Arc");
+    }
+
+    #[test]
+    fn a_digest_match_with_other_layers_gets_its_own_entry() {
+        let stages = ShardStages::new(SHARD_STAGES);
+        let selected = stage(7);
+        let overridden = global_run(7).override_subsets(vec![vec![0, 1], vec![2, 3, 4]]);
+        let digest = selected.config_digest();
+        assert_eq!(overridden.config_digest(), digest, "override keeps the config digest");
+        assert_ne!(selected.layers(), overridden.layers());
+
+        let (a, _) = stages.resolve(digest, selected.clone());
+        let (b, hit) = stages.resolve(digest, overridden.clone());
+        assert!(!hit, "the digest alone must never confirm a hit");
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(*b, overridden);
+        // Both stay held.
+        assert!(Arc::ptr_eq(&stages.resolve(digest, selected).0, &a));
+        assert!(Arc::ptr_eq(&stages.resolve(digest, overridden).0, &b));
+    }
+
+    #[test]
+    fn the_least_recently_used_stage_is_evicted_at_capacity() {
+        let stages = ShardStages::new(2);
+        let [s1, s2, s3] = [1, 2, 3].map(stage);
+        let held1 = stages.resolve(s1.config_digest(), s1.clone()).0;
+        let held2 = stages.resolve(s2.config_digest(), s2.clone()).0;
+        // Touch s1, so s2 is now the least recently used.
+        assert!(Arc::ptr_eq(&stages.resolve(s1.config_digest(), s1.clone()).0, &held1));
+        let _ = stages.resolve(s3.config_digest(), s3);
+        let (again1, hit1) = stages.resolve(s1.config_digest(), s1);
+        assert!(hit1 && Arc::ptr_eq(&again1, &held1), "the recently used stage stays");
+        let (again2, hit2) = stages.resolve(s2.config_digest(), s2);
+        assert!(!hit2 && !Arc::ptr_eq(&again2, &held2), "the LRU stage was evicted");
+    }
+
+    /// Four shards of a new stage resolving at once all get the one `Arc`
+    /// the first of them inserted, so they share its search cell and the
+    /// `OnceLock` builds one placement search for all of them.
+    #[test]
+    fn concurrent_shards_of_a_new_stage_share_one_arc() {
+        let stages = ShardStages::new(SHARD_STAGES);
+        let original = stage(11);
+        let digest = original.config_digest();
+        let barrier = std::sync::Barrier::new(4);
+        let (held, hits): (Vec<_>, Vec<bool>) = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    let decoded = redecoded(&original);
+                    let (stages, barrier) = (&stages, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        stages.resolve(digest, decoded)
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().expect("shard thread")).unzip()
+        });
+        assert!(held.iter().all(|stage| Arc::ptr_eq(stage, &held[0])));
+        assert_eq!(hits.iter().filter(|&&hit| !hit).count(), 1, "exactly one shard inserts");
+    }
 }

@@ -4,7 +4,8 @@
 //! *byte-identical* to a solo `run_jigsaw` — at every worker count, shard
 //! size, completion order and shard-to-worker assignment — with zero
 //! probe-counted compiles anywhere in the sweep (the shipped stage
-//! already carries every compiled artifact).
+//! already carries every compiled artifact). A recompiled-CPM sweep pays
+//! exactly one compile per CPM, on the worker.
 //!
 //! The probe is process-global and every test here compiles, so every test
 //! holds [`PROBE`] for its whole body (a compile anywhere in the binary
@@ -19,7 +20,7 @@ use jigsaw_repro::circuit::bench;
 use jigsaw_repro::compiler::probe;
 use jigsaw_repro::core::dist::{execute_shard, merge_partials, plan_shards, DistConfig};
 use jigsaw_repro::core::pipeline::{JigsawPipeline, SubsetsSelected};
-use jigsaw_repro::core::{run_jigsaw, JigsawConfig};
+use jigsaw_repro::core::{run_jigsaw, telemetry, JigsawConfig};
 use jigsaw_repro::device::Device;
 use jigsaw_repro::pmf::codec::encode_to_vec;
 use jigsaw_repro::server::dist::run_distributed;
@@ -36,23 +37,39 @@ fn probe_guard() -> MutexGuard<'static, ()> {
     PROBE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+type Inputs = (jigsaw_repro::circuit::Circuit, Device, JigsawConfig);
+
 /// The sweep under test: ghz(6) on toronto, recompilation off so the
 /// compile accounting is exact (one global compile to *build* the stage,
 /// zero to execute any number of shards of it).
-fn sweep_inputs(seed: u64) -> (jigsaw_repro::circuit::Circuit, Device, JigsawConfig) {
+fn sweep_inputs(seed: u64) -> Inputs {
     let mut config = JigsawConfig::jigsaw(1_200).without_recompilation().with_seed(seed);
     config.compiler.max_seeds = 3;
     (bench::ghz(6).circuit().clone(), Device::toronto(), config)
 }
 
+/// The same sweep with recompiled CPMs: each CPM costs one compile,
+/// paid by whichever process executes it.
+fn recompiled_inputs(seed: u64) -> Inputs {
+    let (program, device, mut config) = sweep_inputs(seed);
+    config.recompile_cpms = true;
+    (program, device, config)
+}
+
+fn stage_of((program, device, config): &Inputs) -> SubsetsSelected {
+    JigsawPipeline::plan(program, device, config).compile_global().run_global().select_subsets()
+}
+
+fn solo_of((program, device, config): &Inputs) -> Vec<u8> {
+    encode_to_vec(&run_jigsaw(program, device, config))
+}
+
 fn sweep_stage(seed: u64) -> SubsetsSelected {
-    let (program, device, config) = sweep_inputs(seed);
-    JigsawPipeline::plan(&program, &device, &config).compile_global().run_global().select_subsets()
+    stage_of(&sweep_inputs(seed))
 }
 
 fn solo_bytes(seed: u64) -> Vec<u8> {
-    let (program, device, config) = sweep_inputs(seed);
-    encode_to_vec(&run_jigsaw(&program, &device, &config))
+    solo_of(&sweep_inputs(seed))
 }
 
 fn cpm_count(stage: &SubsetsSelected) -> usize {
@@ -149,6 +166,55 @@ fn real_worker_partials_report_zero_compiles() {
         "worker metrics missing shard counter:\n{metrics}"
     );
     stop_worker_process(child, addr);
+}
+
+/// A recompiled-CPM sweep on one in-process worker: every partial reports
+/// one compile per CPM it ran, the merge equals solo, and sweeping the
+/// same stage again gives the same bytes. The worker keeps the stage, so
+/// only the first shard it ever sees of it is a miss.
+#[test]
+fn recompiled_sweep_on_a_worker_is_bit_identical_and_reuses_the_stage() {
+    let _probe_guard = probe_guard();
+    let inputs = recompiled_inputs(43);
+    let solo = solo_of(&inputs);
+    let stage = stage_of(&inputs);
+    let shards = plan_shards(cpm_count(&stage), 2);
+    assert!(shards.len() >= 2, "the sweep must span several shards");
+
+    let (handles, addrs) = spawn_fleet(1);
+    let (hits, misses) =
+        (telemetry::dist_stage_reuse("hit").get(), telemetry::dist_stage_reuse("miss").get());
+    let before = probe::compile_count();
+    let mut client = Client::connect(addrs[0]).expect("connect");
+    let partials: Vec<_> = shards
+        .iter()
+        .map(|shard| {
+            let request = jigsaw_repro::core::dist::ShardRequest {
+                stage: stage.clone(),
+                shard: *shard,
+                priority: jigsaw_repro::core::sched::Priority::Sweep,
+            };
+            let partial = client.submit_shard(&request).expect("shard served");
+            assert_eq!(partial.compiles, shard.hi - shard.lo, "shard {}", shard.index);
+            partial
+        })
+        .collect();
+    let compiles = probe::compile_count() - before;
+    let first = merge_partials(stage.clone(), partials).expect("merge");
+    let again = run_distributed(&stage, &addrs, &DistConfig::default().with_shard_size(2))
+        .expect("second sweep");
+    let reuse = (
+        telemetry::dist_stage_reuse("hit").get() - hits,
+        telemetry::dist_stage_reuse("miss").get() - misses,
+    );
+    for handle in handles {
+        handle.shutdown();
+    }
+
+    assert_eq!(compiles, cpm_count(&stage) as u64, "one compile per CPM, none for the search");
+    assert_eq!(encode_to_vec(&first), solo, "recompiled sweep diverged from solo run_jigsaw");
+    assert_eq!(encode_to_vec(&again), solo, "second sweep of the same stage diverged");
+    assert_eq!(reuse, (2 * shards.len() as u64 - 1, 1), "(hits, misses) across both sweeps");
 }
 
 proptest! {
